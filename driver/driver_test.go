@@ -459,6 +459,54 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
+// TestSequentialClientNeverShed runs a strictly sequential client
+// against a MaxConcurrent=1, no-queue server: each statement's slot
+// must be free by the time its answer (Result, QueryEnd or Error)
+// arrives, so the client's next statement is never shed by its own
+// previous one.
+func TestSequentialClientNeverShed(t *testing.T) {
+	srv, _, addr := startServer(t, server.Config{
+		MaxConcurrent: 1,
+		QueueDepth:    -1,
+		BatchRows:     4,
+	})
+	db := openSQL(t, addr, "retries=0")
+	db.SetMaxOpenConns(1)
+
+	if _, err := db.Exec(`CREATE TABLE seq (id BIGINT, v DOUBLE) STORED AS DUALTABLE`); err != nil {
+		t.Fatal(err)
+	}
+	const n = 60
+	for i := int64(0); i < n; i++ {
+		if _, err := db.Exec(`INSERT INTO seq VALUES (?, ?)`, i, float64(i)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		var count int64
+		if err := db.QueryRow(`SELECT COUNT(*) FROM seq`).Scan(&count); err != nil {
+			t.Fatalf("count after insert %d: %v", i, err)
+		}
+		if count != i+1 {
+			t.Fatalf("COUNT(*) = %d after %d inserts", count, i+1)
+		}
+		rows, err := db.Query(`SELECT id, v FROM seq WHERE id <= ?`, i)
+		if err != nil {
+			t.Fatalf("scan %d: %v", i, err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("scan %d: %v", i, err)
+		}
+		rows.Close()
+		if _, err := db.Exec(`SELECT * FROM no_such_table`); err == nil || errors.Is(err, dualtable.ErrServerBusy) {
+			t.Fatalf("failing statement %d: err = %v, want a non-busy error", i, err)
+		}
+	}
+	if shed := srv.Stats().Shed; shed != 0 {
+		t.Fatalf("Stats().Shed = %d for a sequential client, want 0", shed)
+	}
+}
+
 // TestSessionVarsStickOnConnection sets read.epoch over the wire and
 // checks it pins subsequent reads on that connection — and only that
 // connection. Session state only sticks within one borrow, so the

@@ -17,7 +17,9 @@
 package acid
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"path"
 	"sort"
 	"strings"
@@ -161,8 +163,12 @@ func (h *Handler) loadDeltas(desc *metastore.TableDesc, m *sim.Meter) ([]deltaEn
 		rr := rd.NewRowReader(orcfile.RowReaderOptions{})
 		for {
 			row, _, err := rr.Next()
-			if err != nil {
+			if errors.Is(err, io.EOF) {
 				break
+			}
+			if err != nil {
+				fr.Close()
+				return nil, fmt.Errorf("acid: read delta %s: %w", fi.Name, err)
 			}
 			entry := deltaEntry{
 				rid: uint64(row[0].I),
@@ -391,8 +397,13 @@ type acidReader struct {
 func (r *acidReader) Next() (datum.Row, mapred.RecordMeta, error) {
 	for {
 		row, ord, err := r.rows.Next()
-		if err != nil {
+		if errors.Is(err, io.EOF) {
 			return nil, mapred.RecordMeta{}, mapred.EOF
+		}
+		if err != nil {
+			// A corrupt base stripe fails the scan; it must not end it
+			// early with fewer rows.
+			return nil, mapred.RecordMeta{}, fmt.Errorf("acid: read base file %d: %w", r.fileID, err)
 		}
 		rid := uint64(r.fileID)<<32 | uint64(ord)
 		for r.di < len(r.deltas) && r.deltas[r.di].rid < rid {
@@ -535,25 +546,48 @@ func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metast
 		Name:   "acid-delta",
 		Splits: splits,
 		NewMapper: func() mapred.Mapper {
-			dm := &deltaMapper{}
-			dm.visit = visit
-			dm.open = func(tm *sim.Meter) (*orcfile.Writer, *dfs.FileWriter, error) {
-				mu.Lock()
-				taskCounter++
-				id := taskCounter
-				mu.Unlock()
-				name := fmt.Sprintf("delta-%06d-%04d.orc", txn, id)
-				fw, err := h.e.FS.CreateMeter(path.Join(deltaDir(desc), name), tm)
-				if err != nil {
-					return nil, nil, err
+			// The task's delta file is created on its first entry, so
+			// tasks that match nothing leave no file behind.
+			var w *orcfile.Writer
+			var fw *dfs.FileWriter
+			writeDelta := func(tm *sim.Meter, d deltaEntry) error {
+				if w == nil {
+					mu.Lock()
+					taskCounter++
+					id := taskCounter
+					mu.Unlock()
+					name := fmt.Sprintf("delta-%06d-%04d.orc", txn, id)
+					var err error
+					if fw, err = h.e.FS.CreateMeter(path.Join(deltaDir(desc), name), tm); err != nil {
+						return err
+					}
+					if w, err = orcfile.NewWriter(fw, dSchema, orcfile.WriterOptions{Compression: true}); err != nil {
+						return err
+					}
 				}
-				w, err := orcfile.NewWriter(fw, dSchema, orcfile.WriterOptions{Compression: true})
-				if err != nil {
-					return nil, nil, err
-				}
-				return w, fw, nil
+				out := make(datum.Row, 0, 2+len(d.row))
+				out = append(out, datum.Int(int64(d.rid)), datum.Int(d.op))
+				out = append(out, d.row...)
+				return w.WriteRow(out)
 			}
-			return dm
+			return &mapred.MeteredMapper{
+				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
+					matched, err := visit(tm, row, meta.RecordID, func(d deltaEntry) error { return writeDelta(tm, d) })
+					if err != nil || !matched {
+						return err
+					}
+					return emit(nil, datum.Row{datum.Int(1)})
+				},
+				FlushFn: func(*sim.Meter, mapred.Emitter) error {
+					if w == nil {
+						return nil
+					}
+					if err := w.Close(); err != nil {
+						return err
+					}
+					return fw.Close()
+				},
+			}
 		},
 	}
 	res, err := e.MR.RunContext(ec.Context(), job)
@@ -562,50 +596,6 @@ func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metast
 	}
 	m.AddSeconds(res.SimSeconds)
 	return res.Counters.OutputRecords, nil
-}
-
-// deltaMapper writes matching records to its task's delta file.
-type deltaMapper struct {
-	meter *sim.Meter
-	visit func(*sim.Meter, datum.Row, uint64, func(deltaEntry) error) (bool, error)
-	open  func(*sim.Meter) (*orcfile.Writer, *dfs.FileWriter, error)
-	w     *orcfile.Writer
-	fw    *dfs.FileWriter
-}
-
-func (dm *deltaMapper) SetMeter(m *sim.Meter) { dm.meter = m }
-
-func (dm *deltaMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-	matched, err := dm.visit(dm.meter, row, meta.RecordID, func(d deltaEntry) error {
-		if dm.w == nil {
-			w, fw, err := dm.open(dm.meter)
-			if err != nil {
-				return err
-			}
-			dm.w, dm.fw = w, fw
-		}
-		out := make(datum.Row, 0, 2+len(d.row))
-		out = append(out, datum.Int(int64(d.rid)), datum.Int(d.op))
-		out = append(out, d.row...)
-		return dm.w.WriteRow(out)
-	})
-	if err != nil {
-		return err
-	}
-	if matched {
-		return emit(nil, datum.Row{datum.Int(1)})
-	}
-	return nil
-}
-
-func (dm *deltaMapper) Flush(emit mapred.Emitter) error {
-	if dm.w == nil {
-		return nil
-	}
-	if err := dm.w.Close(); err != nil {
-		return err
-	}
-	return dm.fw.Close()
 }
 
 // Compact implements COMPACT TABLE for ACID tables: a major

@@ -1,6 +1,7 @@
 package acid
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -194,5 +195,72 @@ func TestAcidReadAmplification(t *testing.T) {
 	if after.SimSeconds <= before.SimSeconds {
 		t.Errorf("merge-on-read should slow down with deltas: %.3f vs %.3f",
 			after.SimSeconds, before.SimSeconds)
+	}
+}
+
+// TestCorruptStripeFailsScan corrupts the block holding the first
+// stripe of a table's data file under verifying reads: the scan must
+// fail with the typed checksum error, never return a short count.
+func TestCorruptStripeFailsScan(t *testing.T) {
+	for _, storage := range []string{"ORC", "ACID"} {
+		t.Run(storage, func(t *testing.T) {
+			fs := dfs.New(dfs.Config{BlockSize: 1 << 10, Replication: 1, DataNodes: 4, VerifyOnRead: true})
+			kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := hive.NewEngine(hive.Config{FS: fs, KV: kv, MR: mapred.NewCluster(sim.GridCluster())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Register(e); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, e, "CREATE TABLE c (id BIGINT, v DOUBLE) STORED AS "+storage)
+			var sb strings.Builder
+			sb.WriteString("INSERT INTO c VALUES ")
+			for i := 0; i < 3000; i++ {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, "(%d, %d.5)", i, i*7919%1000)
+			}
+			mustExec(t, e, sb.String())
+			if rs := mustExec(t, e, "SELECT COUNT(*) FROM c WHERE id >= 0"); rs.Rows[0][0].I != 3000 {
+				t.Fatalf("clean COUNT(*) = %v, want 3000", rs.Rows[0])
+			}
+
+			desc, err := e.MS.Get("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := desc.Location
+			if storage == "ACID" {
+				dir = baseDir(desc)
+			}
+			files, err := fs.ListFiles(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var data *dfs.FileInfo
+			for i := range files {
+				if strings.HasSuffix(files[i].Name, ".orc") {
+					data = &files[i]
+				}
+			}
+			if data == nil || data.Size <= 2<<10 {
+				t.Fatalf("want a multi-block data file under %s, got %+v", dir, files)
+			}
+			if err := fs.CorruptBlock(data.Path, 0); err != nil {
+				t.Fatal(err)
+			}
+			// The filter makes the scan decode the id column. A bare
+			// COUNT(*) projects no column, so it reads no stripe data
+			// and has nothing to verify.
+			rs, err := e.Execute("SELECT COUNT(*) FROM c WHERE id >= 0")
+			if !errors.Is(err, dfs.ErrCorruptBlock) {
+				t.Fatalf("COUNT(*) over a corrupt stripe = %v, %v; want dfs.ErrCorruptBlock", rs, err)
+			}
+		})
 	}
 }

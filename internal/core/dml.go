@@ -362,8 +362,8 @@ func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *meta
 		Splits: splits,
 		NewMapper: func() mapred.Mapper {
 			var batch []*kvstore.Cell
-			return &editMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
+			return &mapred.MeteredMapper{
+				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
 					if whereFn != nil {
 						ok, err := whereFn(row)
 						if err != nil {
@@ -407,7 +407,7 @@ func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *meta
 					}
 					return emit(nil, datum.Row{datum.Int(1)})
 				},
-				flushFn: func(tm *sim.Meter) error {
+				FlushFn: func(tm *sim.Meter, _ mapred.Emitter) error {
 					if len(batch) == 0 {
 						return nil
 					}
@@ -463,8 +463,8 @@ func (h *Handler) runEditDelete(ec *hive.ExecContext, e *hive.Engine, desc *meta
 		Splits: splits,
 		NewMapper: func() mapred.Mapper {
 			var batch []*kvstore.Cell
-			return &editMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
+			return &mapred.MeteredMapper{
+				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
 					if whereFn != nil {
 						ok, err := whereFn(row)
 						if err != nil {
@@ -489,7 +489,7 @@ func (h *Handler) runEditDelete(ec *hive.ExecContext, e *hive.Engine, desc *meta
 					}
 					return emit(nil, datum.Row{datum.Int(1)})
 				},
-				flushFn: func(tm *sim.Meter) error {
+				FlushFn: func(tm *sim.Meter, _ mapred.Emitter) error {
 					if len(batch) == 0 {
 						return nil
 					}
@@ -588,27 +588,4 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 	}
 	m.AddSeconds(res.SimSeconds)
 	return nil
-}
-
-// editMapper is a stateful mapper for the EDIT UDTFs. It is
-// MeterAware: attached-table puts charge the task meter so they
-// parallelize across map slots in the simulated makespan.
-type editMapper struct {
-	meter   *sim.Meter
-	mapFn   func(*sim.Meter, datum.Row, mapred.RecordMeta, mapred.Emitter) error
-	flushFn func(*sim.Meter) error
-}
-
-// SetMeter receives the task meter from the MapReduce engine.
-func (f *editMapper) SetMeter(m *sim.Meter) { f.meter = m }
-
-func (f *editMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-	return f.mapFn(f.meter, row, meta, emit)
-}
-
-func (f *editMapper) Flush(emit mapred.Emitter) error {
-	if f.flushFn == nil {
-		return nil
-	}
-	return f.flushFn(f.meter)
 }

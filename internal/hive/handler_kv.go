@@ -255,8 +255,8 @@ func (h *kvHandler) ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.Table
 		Splits: splits,
 		NewMapper: func() mapred.Mapper {
 			var batch []*kvstore.Cell
-			return &funcMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
+			return &mapred.MeteredMapper{
+				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
 					if whereFn != nil {
 						ok, err := whereFn(row)
 						if err != nil {
@@ -290,7 +290,7 @@ func (h *kvHandler) ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.Table
 					}
 					return emit(nil, datum.Row{datum.Int(1)})
 				},
-				flushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
+				FlushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
 					if len(batch) == 0 {
 						return nil
 					}
@@ -334,8 +334,8 @@ func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.Table
 		Splits: splits,
 		NewMapper: func() mapred.Mapper {
 			var batch []*kvstore.Cell
-			return &funcMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
+			return &mapred.MeteredMapper{
+				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
 					if whereFn != nil {
 						ok, err := whereFn(row)
 						if err != nil {
@@ -348,7 +348,7 @@ func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.Table
 					batch = append(batch, &kvstore.Cell{Row: rowKey(meta.RecordID), Type: kvstore.TypeDeleteRow})
 					return emit(nil, datum.Row{datum.Int(1)})
 				},
-				flushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
+				FlushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
 					if len(batch) == 0 {
 						return nil
 					}
@@ -363,27 +363,4 @@ func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.Table
 	}
 	m.AddSeconds(res.SimSeconds)
 	return res.Counters.OutputRecords, "EDIT-UDF", nil
-}
-
-// funcMapper adapts map/flush closures with state. It is MeterAware
-// so side-effect puts charge the task meter (parallel in the
-// makespan).
-type funcMapper struct {
-	meter   *sim.Meter
-	mapFn   func(*sim.Meter, datum.Row, mapred.RecordMeta, mapred.Emitter) error
-	flushFn func(*sim.Meter, mapred.Emitter) error
-}
-
-// SetMeter receives the task meter.
-func (f *funcMapper) SetMeter(m *sim.Meter) { f.meter = m }
-
-func (f *funcMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-	return f.mapFn(f.meter, row, meta, emit)
-}
-
-func (f *funcMapper) Flush(emit mapred.Emitter) error {
-	if f.flushFn == nil {
-		return nil
-	}
-	return f.flushFn(f.meter, emit)
 }

@@ -1,7 +1,9 @@
 package hive
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"path"
 	"strings"
 	"sync/atomic"
@@ -200,10 +202,6 @@ type orcSplit struct {
 	size   int64
 	schema datum.Schema
 	opts   ScanOptions
-	// fileID, when set, seeds record IDs as fileID<<32 | rowNumber
-	// (DualTable master files).
-	fileID uint64
-	useID  bool
 }
 
 func (s *orcSplit) Length() int64 { return s.size }
@@ -218,39 +216,59 @@ func (s *orcSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 		fr.Close()
 		return nil, err
 	}
-	rr := rd.NewRowReader(orcfile.RowReaderOptions{
-		Columns:   s.opts.Projection,
-		SearchArg: s.opts.SArg,
-	})
-	return &orcRecordReader{fr: fr, rr: rr, fileID: s.fileID, useID: s.useID}, nil
+	opts := orcfile.RowReaderOptions{Columns: s.opts.Projection, SearchArg: s.opts.SArg}
+	return &orcRecordReader{path: s.path, fr: fr, rd: rd, opts: opts}, nil
 }
 
+// orcRecordReader serves a file row at a time (Next) or in column
+// vector batches (NextBatch); the map loop uses one mode per task, so
+// the decoder for that mode is created on first use. Record IDs are
+// file row ordinals in both modes.
 type orcRecordReader struct {
-	fr     *dfs.FileReader
-	rr     *orcfile.RowReader
-	fileID uint64
-	useID  bool
+	path  string
+	fr    *dfs.FileReader
+	rd    *orcfile.Reader
+	opts  orcfile.RowReaderOptions
+	rows  *orcfile.RowReader
+	batch *orcfile.BatchReader
+	cols  []datum.ColumnVector
 }
 
 func (r *orcRecordReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	row, ord, err := r.rr.Next()
+	if r.rows == nil {
+		r.rows = r.rd.NewRowReader(r.opts)
+	}
+	row, ord, err := r.rows.Next()
 	if err != nil {
-		return nil, mapred.RecordMeta{}, mapred.EOF
+		return nil, mapred.RecordMeta{}, r.readErr(err)
 	}
-	meta := mapred.RecordMeta{}
-	if r.useID {
-		meta.RecordID = r.fileID<<32 | uint64(ord)
+	return row, mapred.RecordMeta{RecordID: uint64(ord)}, nil
+}
+
+func (r *orcRecordReader) NextBatch(b *mapred.RecordBatch) error {
+	if r.batch == nil {
+		r.batch = r.rd.NewBatchReader(r.opts)
+		r.cols = make([]datum.ColumnVector, len(r.rd.Schema()))
 	}
-	return row, meta, nil
+	n, base, err := r.batch.NextBatch(r.cols, 0)
+	if err != nil {
+		return r.readErr(err)
+	}
+	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = n, r.cols, nil, uint64(base), nil
+	return nil
+}
+
+// readErr maps the decoder's end of file to the map loop's EOF and
+// wraps every other error: a corrupt stripe must fail the scan, never
+// end it early.
+func (r *orcRecordReader) readErr(err error) error {
+	if errors.Is(err, io.EOF) {
+		return mapred.EOF
+	}
+	return fmt.Errorf("hive: read %s: %w", r.path, err)
 }
 
 func (r *orcRecordReader) Close() error { return r.fr.Close() }
-
-// NewORCSplit builds a split over one ORC file with explicit record
-// ID seeding. Exported for the DualTable core's master-table scans.
-func NewORCSplit(fs *dfs.FileSystem, filePath string, size int64, schema datum.Schema, opts ScanOptions, fileID uint64) mapred.InputSplit {
-	return &orcSplit{fs: fs, path: filePath, size: size, schema: schema, opts: opts, fileID: fileID, useID: true}
-}
 
 // ---- Text handler ----
 

@@ -3,6 +3,7 @@ package hive
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"dualtable/internal/datum"
@@ -251,6 +252,9 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 		return &Rows{cols: names}, nil
 	}
 
+	// The scan side is the plain SELECT's filter+project mapper.
+	where := newScanFilter(sel.Where, whereFn, rel.sc)
+	projVec := compileVecExprs(itemExprs(items), projFns, rel.sc)
 	ctx, cancel := context.WithCancel(ec.Context())
 	ch := make(chan datum.Row, 64)
 	sink := &chanOutputFactory{ctx: ctx, cancel: cancel, ch: ch, limit: limit}
@@ -258,26 +262,7 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 		Name:   "select-stream",
 		Splits: rel.splits,
 		NewMapper: func() mapred.Mapper {
-			return mapred.MapFunc(func(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-				if whereFn != nil {
-					ok, err := whereFn(row)
-					if err != nil {
-						return err
-					}
-					if !ok.Truthy() {
-						return nil
-					}
-				}
-				out := make(datum.Row, 0, len(projFns))
-				for _, fn := range projFns {
-					d, err := fn(row)
-					if err != nil {
-						return err
-					}
-					out = append(out, d)
-				}
-				return emit(nil, out)
-			})
+			return &simpleScanMapper{where: where, projs: slices.Clone(projVec)}
 		},
 		Output: sink,
 	}

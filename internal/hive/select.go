@@ -248,11 +248,11 @@ func (e *Engine) execSimpleSelect(ec *ExecContext, sel *sqlparser.SelectStmt, it
 		}
 	}
 
-	// Vectorized fast paths: simple conjuncts evaluate on column
-	// vectors, bare column refs read vectors directly. Order keys that
-	// resolved as select-list aliases keep their evalFn (the alias does
-	// not name an input column).
-	preds, usePreds := compileVecFilter(sel.Where, rel.sc)
+	// Vectorized fast paths: WHERE evaluates into a selection vector,
+	// bare column refs read vectors directly. Order keys that resolved
+	// as select-list aliases keep their evalFn (the alias does not name
+	// an input column).
+	where := newScanFilter(sel.Where, whereFn, rel.sc)
 	projVec := compileVecExprs(itemExprs(items), projFns, rel.sc)
 	orderVec := make([]vecExpr, len(orderFns))
 	for i := range orderFns {
@@ -286,11 +286,9 @@ func (e *Engine) execSimpleSelect(ec *ExecContext, sel *sqlparser.SelectStmt, it
 			// Each mapper owns its vecExpr slices: compiled programs are
 			// shared, but per-batch program state is not.
 			m := &simpleScanMapper{
-				whereFn:  whereFn,
-				preds:    preds,
-				usePreds: usePreds && whereFn != nil,
-				projs:    slices.Clone(projVec),
-				orders:   slices.Clone(orderVec),
+				where:  where,
+				projs:  slices.Clone(projVec),
+				orders: slices.Clone(orderVec),
 			}
 			if topN {
 				m.top = &topHeap{limit: limit, keyAt: len(projVec), desc: desc}
@@ -315,24 +313,22 @@ func itemExprs(items []sqlparser.SelectItem) []sqlparser.Expr {
 	return out
 }
 
-// simpleScanMapper is the filter+project mapper. Map handles one row
-// (the classic path); MapBatch filters a whole batch with vector
-// predicates and materializes only surviving rows — and of those only
-// the columns an expression actually needs. For ORDER BY ... LIMIT n
+// simpleScanMapper is the filter+project mapper. MapBatch selects a
+// batch's passing rows (see scanFilter) and materializes only those,
+// and of those only the columns an expression actually needs; a row
+// batch (row-only readers, DisableBatchScan) takes the same steps
+// through the row-at-a-time evalFns. For ORDER BY ... LIMIT n
 // queries the task streams its rows through a bounded top-N heap and
 // emits at most n at Flush, in arrival order: only a task's n best
 // rows can survive the global stable sort + truncate, so the final
 // result is unchanged while the job stops materializing full result
 // sets.
 type simpleScanMapper struct {
-	whereFn  evalFn
-	preds    []vecPred
-	usePreds bool
-	projs    []vecExpr
-	orders   []vecExpr
-	top      *topHeap // nil unless ORDER BY ... LIMIT
-	sel      []int32
-	brow     batchRow
+	where  scanFilter
+	projs  []vecExpr
+	orders []vecExpr
+	top    *topHeap // nil unless ORDER BY ... LIMIT
+	brow   batchRow
 }
 
 // emitRow routes one projected row to the collector or the top-N heap.
@@ -342,34 +338,6 @@ func (m *simpleScanMapper) emitRow(out datum.Row, emit mapred.Emitter) error {
 	}
 	m.top.push(out)
 	return nil
-}
-
-func (m *simpleScanMapper) Map(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-	if m.whereFn != nil {
-		ok, err := m.whereFn(row)
-		if err != nil {
-			return err
-		}
-		if !ok.Truthy() {
-			return nil
-		}
-	}
-	out := make(datum.Row, 0, len(m.projs)+len(m.orders))
-	for i := range m.projs {
-		d, err := m.projs[i].fn(row)
-		if err != nil {
-			return err
-		}
-		out = append(out, d)
-	}
-	for i := range m.orders {
-		d, err := m.orders[i].fn(row)
-		if err != nil {
-			return err
-		}
-		out = append(out, d)
-	}
-	return m.emitRow(out, emit)
 }
 
 func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
@@ -386,31 +354,16 @@ func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
 
 func (m *simpleScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
 	m.brow.filled = -1
-	vectorized := b.Cols != nil && m.usePreds
-	if vectorized {
-		m.sel = filterBatch(m.preds, b.Cols, b.Len, m.sel)
+	sel, err := m.where.selectRows(b, &m.brow)
+	if err != nil {
+		return err
 	}
-	count := b.Len
-	if vectorized {
-		count = len(m.sel)
-	}
-	if count > 0 && b.Cols != nil {
+	if len(sel) > 0 && b.Cols != nil {
 		beginBatchAll(m.projs, b)
 		beginBatchAll(m.orders, b)
 	}
-	for k := 0; k < count; k++ {
-		i := k
-		if vectorized {
-			i = int(m.sel[k])
-		} else if m.whereFn != nil {
-			ok, err := m.whereFn(m.brow.row(b, i))
-			if err != nil {
-				return err
-			}
-			if !ok.Truthy() {
-				continue
-			}
-		}
+	for _, i32 := range sel {
+		i := int(i32)
 		out := make(datum.Row, 0, len(m.projs)+len(m.orders))
 		for pi := range m.projs {
 			d, err := m.projs[pi].eval(b, i, &m.brow)
@@ -626,7 +579,6 @@ func (e *Engine) execAggSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items
 	}
 
 	// Vectorized fast paths for the scan side of the aggregation.
-	preds, usePreds := compileVecFilter(sel.Where, rel.sc)
 	groupVec := compileVecExprs(sel.GroupBy, groupFns, rel.sc)
 	argExprs := make([]sqlparser.Expr, len(aggs))
 	for i, a := range aggs {
@@ -636,12 +588,10 @@ func (e *Engine) execAggSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items
 	}
 	argVec := compileVecExprs(argExprs, argFns, rel.sc)
 	scan := aggScanSpec{
-		whereFn:  whereFn,
-		preds:    preds,
-		usePreds: usePreds && whereFn != nil,
-		groups:   groupVec,
-		args:     argVec,
-		aggs:     aggs,
+		where:  newScanFilter(sel.Where, whereFn, rel.sc),
+		groups: groupVec,
+		args:   argVec,
+		aggs:   aggs,
 	}
 
 	// ---- Map + Reduce job ----
@@ -947,12 +897,10 @@ func finalizePartial(name string, p datum.Row) datum.Datum {
 // group keys and aggregate arguments, each with its vectorized fast
 // path.
 type aggScanSpec struct {
-	whereFn  evalFn
-	preds    []vecPred
-	usePreds bool
-	groups   []vecExpr
-	args     []vecExpr
-	aggs     []aggSpec
+	where  scanFilter
+	groups []vecExpr
+	args   []vecExpr
+	aggs   []aggSpec
 }
 
 // cloneForMapper copies the spec with private vecExpr slices: compiled
@@ -975,11 +923,12 @@ var maxHashGroups = 1 << 16
 // folds into its group's accumulator in place and one partial row per
 // group is emitted at Flush — Hive's hive.map.aggr, which removes the
 // per-record row allocation, emit and combiner merge entirely. In raw
-// mode (DISTINCT) it emits the argument values per record. Map is the
-// classic row path; MapBatch filters on column vectors and reads
-// bare-column group keys and arguments straight off the vectors. Both
-// paths share the same per-record fold, so batch and row execution
-// produce identical output, counters and simulated seconds.
+// mode (DISTINCT) it emits the argument values per record. MapBatch
+// selects a batch's passing rows (see scanFilter) and reads group keys
+// and arguments straight off the vectors where it can; a row batch
+// takes the same per-record fold through the evalFns, so batch and
+// row execution produce identical output, counters and simulated
+// seconds.
 type aggScanMapper struct {
 	aggScanSpec
 	partial bool
@@ -987,67 +936,34 @@ type aggScanMapper struct {
 	groupRw datum.Row // reused group-value scratch
 	accum   map[string]datum.Row
 	order   []string // accum keys in first-seen order (deterministic Flush)
-	sel     []int32
 	brow    batchRow
 }
 
-// emitRecord folds one input record (already past the filter) into
-// the hash table, or emits it directly in raw mode; get abstracts row
-// vs batch evaluation.
-func (m *aggScanMapper) emitRecord(get func(*vecExpr) (datum.Datum, error), emit mapred.Emitter) error {
+// emitRaw emits one record's group values and aggregate arguments
+// (raw mode).
+func (m *aggScanMapper) emitRaw(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
 	nGroup := len(m.groups)
-	if !m.partial {
-		out := make(datum.Row, 0, nGroup+len(m.aggs))
-		for i := range m.groups {
-			d, err := get(&m.groups[i])
-			if err != nil {
-				return err
-			}
-			out = append(out, d)
-		}
-		for i := range m.aggs {
-			if m.aggs[i].star {
-				out = append(out, datum.Bool(true))
-				continue
-			}
-			d, err := get(&m.args[i])
-			if err != nil {
-				return err
-			}
-			out = append(out, d)
-		}
-		m.keyBuf = datum.SortableRowKey(m.keyBuf[:0], out[:nGroup])
-		return emit(m.keyBuf, out)
-	}
-	if cap(m.groupRw) < nGroup {
-		m.groupRw = make(datum.Row, nGroup)
-	}
-	grp := m.groupRw[:nGroup]
-	for i := range m.groups {
-		d, err := get(&m.groups[i])
+	out := make(datum.Row, 0, nGroup+len(m.aggs))
+	for gi := range m.groups {
+		d, err := m.groups[gi].eval(b, i, &m.brow)
 		if err != nil {
 			return err
 		}
-		grp[i] = d
+		out = append(out, d)
 	}
-	acc, err := m.accFor(grp, emit)
-	if err != nil {
-		return err
-	}
-	for i := range m.aggs {
-		var d datum.Datum
-		if m.aggs[i].star {
-			d = datum.Bool(true)
-		} else {
-			var err error
-			d, err = get(&m.args[i])
-			if err != nil {
-				return err
-			}
+	for ai := range m.aggs {
+		if m.aggs[ai].star {
+			out = append(out, datum.Bool(true))
+			continue
 		}
-		updatePartial(acc[nGroup+i*aggPartialWidth:], d)
+		d, err := m.args[ai].eval(b, i, &m.brow)
+		if err != nil {
+			return err
+		}
+		out = append(out, d)
 	}
-	return nil
+	m.keyBuf = datum.SortableRowKey(m.keyBuf[:0], out[:nGroup])
+	return emit(m.keyBuf, out)
 }
 
 // accFor returns the partial accumulator for the group values,
@@ -1078,11 +994,12 @@ func (m *aggScanMapper) accFor(grp datum.Row, emit mapred.Emitter) (datum.Row, e
 	return acc, nil
 }
 
-// emitRecordBatch folds one batch row in partial mode: group keys and
-// arguments come off the resolved vectors where available, and numeric
-// argument vectors fold through the typed updatePartialVec instead of
-// boxing a Datum per (record, aggregate).
-func (m *aggScanMapper) emitRecordBatch(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
+// foldRecord folds one batch row into its group's accumulator
+// (partial mode): group keys and arguments come off the resolved
+// vectors where available, and numeric argument vectors fold through
+// the typed updatePartialVec instead of boxing a Datum per (record,
+// aggregate).
+func (m *aggScanMapper) foldRecord(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
 	nGroup := len(m.groups)
 	if cap(m.groupRw) < nGroup {
 		m.groupRw = make(datum.Row, nGroup)
@@ -1119,19 +1036,6 @@ func (m *aggScanMapper) emitRecordBatch(b *mapred.RecordBatch, i int, emit mapre
 	return nil
 }
 
-func (m *aggScanMapper) Map(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-	if m.whereFn != nil {
-		ok, err := m.whereFn(row)
-		if err != nil {
-			return err
-		}
-		if !ok.Truthy() {
-			return nil
-		}
-	}
-	return m.emitRecord(func(x *vecExpr) (datum.Datum, error) { return x.fn(row) }, emit)
-}
-
 // Flush emits the hash-aggregated partial groups in first-seen order
 // and resets the table.
 func (m *aggScanMapper) Flush(emit mapred.Emitter) error {
@@ -1147,36 +1051,20 @@ func (m *aggScanMapper) Flush(emit mapred.Emitter) error {
 
 func (m *aggScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
 	m.brow.filled = -1
-	vectorized := b.Cols != nil && m.usePreds
-	if vectorized {
-		m.sel = filterBatch(m.preds, b.Cols, b.Len, m.sel)
+	sel, err := m.where.selectRows(b, &m.brow)
+	if err != nil {
+		return err
 	}
-	count := b.Len
-	if vectorized {
-		count = len(m.sel)
-	}
-	if count > 0 && b.Cols != nil {
+	if len(sel) > 0 && b.Cols != nil {
 		beginBatchAll(m.groups, b)
 		beginBatchAll(m.args, b)
 	}
-	for k := 0; k < count; k++ {
-		i := k
-		if vectorized {
-			i = int(m.sel[k])
-		} else if m.whereFn != nil {
-			ok, err := m.whereFn(m.brow.row(b, i))
-			if err != nil {
-				return err
-			}
-			if !ok.Truthy() {
-				continue
-			}
-		}
+	for _, i32 := range sel {
 		var err error
 		if m.partial {
-			err = m.emitRecordBatch(b, i, emit)
+			err = m.foldRecord(b, int(i32), emit)
 		} else {
-			err = m.emitRecord(func(x *vecExpr) (datum.Datum, error) { return x.eval(b, i, &m.brow) }, emit)
+			err = m.emitRaw(b, int(i32), emit)
 		}
 		if err != nil {
 			return err

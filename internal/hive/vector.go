@@ -1,187 +1,75 @@
 package hive
 
 import (
-	"strings"
-
 	"dualtable/internal/datum"
 	"dualtable/internal/mapred"
 	"dualtable/internal/sqlparser"
 )
 
-// This file holds the vectorized scan support: predicate evaluation
-// over column vectors (selection vectors instead of per-row evalFn
-// calls) and direct column reads for bare column references, so batch
-// mappers materialize rows only where an expression genuinely needs
-// one.
+// This file holds the vectorized scan support: WHERE evaluation into
+// selection vectors and direct column reads for bare column
+// references, so batch mappers materialize rows only where an
+// expression genuinely needs one.
 
-// vecPred is one pushable conjunct (col <op> literal) compiled for
-// column-vector evaluation. Comparison semantics are exactly
-// datum.Compare + SQL three-valued logic: NULL never matches.
-type vecPred struct {
-	col int
-	op  string // "=", "!=", "<", "<=", ">", ">="
-	lit datum.Datum
+// scanFilter is a scan mapper's compiled WHERE clause. The vectorized
+// form is one vexpr boolean program whose TRUE rows become the
+// selection vector. When the clause does not compile, the batch is
+// made of rows, or the program meets a column whose runtime kind
+// contradicts its static kind, fn decides row by row. Both forms
+// follow SQL three-valued logic (NULL never passes), so they select
+// exactly the same rows.
+//
+// fn and prog are shared across map tasks; st and sel are per-mapper
+// state, so every mapper must own its copy of the struct.
+type scanFilter struct {
+	fn   evalFn     // nil = no WHERE clause
+	prog *vexprProg // nil = fn only
+	st   *vexprState
+	sel  []int32
 }
 
-// compileVecFilter compiles a WHERE clause into vector predicates.
-// It succeeds only when every conjunct has the (col <op> literal)
-// shape — the same shape the ORC search-argument extractor accepts —
-// because then row-at-a-time evaluation and vector evaluation agree
-// on three-valued logic. Anything else returns ok=false and the
-// caller keeps the compiled evalFn.
-func compileVecFilter(where sqlparser.Expr, sc *scope) (preds []vecPred, ok bool) {
-	if where == nil {
-		return nil, true
+// newScanFilter pairs a compiled WHERE evalFn with its vector program,
+// when the clause compiles to one with a boolean result.
+func newScanFilter(where sqlparser.Expr, fn evalFn, sc *scope) scanFilter {
+	f := scanFilter{fn: fn}
+	if where != nil && fn != nil {
+		if prog, ok := compileVexpr(where, sc); ok && prog.kinds[prog.out] == datum.KindBool {
+			f.prog = prog
+		}
 	}
-	for _, conj := range sqlparser.SplitConjuncts(where) {
-		bin, isBin := conj.(*sqlparser.BinaryExpr)
-		if !isBin {
-			return nil, false
+	return f
+}
+
+// selectRows returns the indexes of the batch rows that pass the
+// filter, in order. The slice is reused by the next call.
+func (f *scanFilter) selectRows(b *mapred.RecordBatch, br *batchRow) ([]int32, error) {
+	f.sel = f.sel[:0]
+	if f.fn == nil {
+		for i := 0; i < b.Len; i++ {
+			f.sel = append(f.sel, int32(i))
 		}
-		op := bin.Op
-		switch op {
-		case "=", "!=", "<", "<=", ">", ">=":
-		default:
-			return nil, false
-		}
-		ref, refOK := bin.L.(*sqlparser.ColumnRef)
-		lit, litOK := bin.R.(*sqlparser.Literal)
-		if !refOK || !litOK {
-			if ref2, ok2 := bin.R.(*sqlparser.ColumnRef); ok2 {
-				if lit2, ok3 := bin.L.(*sqlparser.Literal); ok3 {
-					ref, lit = ref2, lit2
-					op = flipCmp(op)
-					refOK, litOK = true, true
+		return f.sel, nil
+	}
+	if f.prog != nil && b.Cols != nil {
+		if v := f.prog.evalBatch(&f.st, b); v != nil {
+			for i := 0; i < b.Len; i++ {
+				if !v.Nulls[i] && v.Bools[i] {
+					f.sel = append(f.sel, int32(i))
 				}
 			}
+			return f.sel, nil
 		}
-		if !refOK || !litOK || lit.Value.IsNull() {
-			return nil, false
-		}
-		idx, err := sc.resolve(ref)
+	}
+	for i := 0; i < b.Len; i++ {
+		ok, err := f.fn(br.row(b, i))
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
-		preds = append(preds, vecPred{col: idx, op: op, lit: lit.Value})
-	}
-	return preds, true
-}
-
-func flipCmp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
-	}
-}
-
-// cmpMatches maps a datum.Compare result through the operator.
-func (p *vecPred) cmpMatches(c int) bool {
-	return cmpOpMatches(p.op, c)
-}
-
-// cmpOpMatches maps a datum.Compare result through a comparison
-// operator symbol.
-func cmpOpMatches(op string, c int) bool {
-	switch op {
-	case "=":
-		return c == 0
-	case "!=":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default: // ">="
-		return c >= 0
-	}
-}
-
-// filterBatch evaluates the predicate conjunction over a columnar
-// batch, appending the surviving row indexes to sel (reused across
-// batches). Typed inner loops handle the common int/float/string
-// columns; everything else goes through Datum+Compare, which is still
-// branch-per-row but allocation-free.
-func filterBatch(preds []vecPred, cols []datum.ColumnVector, n int, sel []int32) []int32 {
-	sel = sel[:0]
-	for i := 0; i < n; i++ {
-		sel = append(sel, int32(i))
-	}
-	for pi := range preds {
-		if len(sel) == 0 {
-			return sel
+		if ok.Truthy() {
+			f.sel = append(f.sel, int32(i))
 		}
-		p := &preds[pi]
-		v := &cols[p.col]
-		out := sel[:0]
-		switch {
-		case v.Kind == datum.KindInt && p.lit.K == datum.KindInt:
-			lit := p.lit.I
-			for _, i := range sel {
-				if v.Nulls[i] {
-					continue
-				}
-				x := v.Ints[i]
-				var c int
-				if x < lit {
-					c = -1
-				} else if x > lit {
-					c = 1
-				}
-				if p.cmpMatches(c) {
-					out = append(out, i)
-				}
-			}
-		case v.Kind == datum.KindFloat && (p.lit.K == datum.KindFloat || p.lit.K == datum.KindInt):
-			lit, _ := p.lit.AsFloat()
-			for _, i := range sel {
-				if v.Nulls[i] {
-					continue
-				}
-				x := v.Floats[i]
-				var c int
-				if x < lit {
-					c = -1
-				} else if x > lit {
-					c = 1
-				}
-				if p.cmpMatches(c) {
-					out = append(out, i)
-				}
-			}
-		case v.Kind == datum.KindString && p.lit.K == datum.KindString:
-			lit := p.lit.S
-			for _, i := range sel {
-				if v.Nulls[i] {
-					continue
-				}
-				if p.cmpMatches(strings.Compare(v.Strs[i], lit)) {
-					out = append(out, i)
-				}
-			}
-		default:
-			for _, i := range sel {
-				d := v.Datum(int(i))
-				if d.IsNull() {
-					continue
-				}
-				if p.cmpMatches(datum.Compare(d, p.lit)) {
-					out = append(out, i)
-				}
-			}
-		}
-		sel = out
 	}
-	return sel
+	return f.sel, nil
 }
 
 // colRefIndex reports the scope index of a bare column reference, the

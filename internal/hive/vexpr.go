@@ -609,3 +609,22 @@ func (p *vexprProg) evalCase(st *vexprState, in *vinst, out *datum.ColumnVector,
 		}
 	}
 }
+
+// cmpOpMatches maps a datum.Compare result through a comparison
+// operator symbol.
+func cmpOpMatches(op string, c int) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "!=":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	default: // ">="
+		return c >= 0
+	}
+}

@@ -47,6 +47,8 @@ func TestCompileVexprCoverage(t *testing.T) {
 		"IF(a < b, 1, 0)",
 		"(a < b) AND (f >= g)",
 		"NOT (a = b) OR (f > 1.5)",
+		"a % 7 = 0", // WHERE shapes: selection-vector programs
+		"s >= 'x'",
 	}
 	for _, src := range compiles {
 		if _, ok := compileVexpr(parseSelectExpr(t, src), sc); !ok {
@@ -59,6 +61,9 @@ func TestCompileVexprCoverage(t *testing.T) {
 		"CASE WHEN a < b THEN f ELSE s END", // mixed-kind branches
 		"LENGTH(s)",                         // unsupported function
 		"a",                                 // bare column has a cheaper direct path
+		"a IN (1, 2)",                       // IN, BETWEEN and LIKE filter row by row
+		"a BETWEEN 1 AND 5",
+		"s LIKE 'x%'",
 	}
 	for _, src := range fallbacks {
 		if _, ok := compileVexpr(parseSelectExpr(t, src), sc); ok {
@@ -128,8 +133,19 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 		// Aggregation over computed arguments (TPC-H Q1 shape).
 		"SELECT s, COUNT(*), SUM(f * (1 - g)), SUM(f * (1 - g) * (1 + a)), AVG(a + b), " +
 			"MIN(a * 2), MAX(f - g), SUM(a / b), SUM(a % b) FROM vx GROUP BY s ORDER BY s",
-		// Row-path filter (not vector-pushable) over program projections.
+		// Arithmetic filter program over program projections.
 		"SELECT id, f * (1 - g) FROM vx WHERE a + b > 0 ORDER BY id",
+		// WHERE through selection vectors: modulo, column-column,
+		// OR/NOT and a string compare on a column holding NULLs, on the
+		// plain and the aggregating scan.
+		"SELECT id, a, s FROM vx WHERE a % 7 = 0 ORDER BY id",
+		"SELECT id FROM vx WHERE a < b ORDER BY id",
+		"SELECT id FROM vx WHERE NOT (f > g) OR a % 3 = 1 ORDER BY id",
+		"SELECT id, s FROM vx WHERE s >= 'x' ORDER BY id",
+		"SELECT s, COUNT(*), SUM(a) FROM vx WHERE s != 'y' AND (a < b OR f >= 0) GROUP BY s ORDER BY s",
+		// Filters that fall back to the row path inside a batch.
+		"SELECT id FROM vx WHERE a IN (1, 2, 3) OR b BETWEEN -2 AND 1 ORDER BY id",
+		"SELECT s, COUNT(*) FROM vx WHERE s LIKE 'x%' GROUP BY s ORDER BY s",
 		// Streaming top-N: per-task heaps must reproduce sort+truncate.
 		"SELECT id, a + b FROM vx ORDER BY a + b DESC, id LIMIT 5",
 		"SELECT id, f FROM vx WHERE f > 0 ORDER BY f / g, id LIMIT 3",

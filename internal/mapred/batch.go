@@ -13,7 +13,8 @@ import (
 //   - Row: Rows holds materialized rows (len Len) and IDs, when
 //     non-nil, holds each row's record ID (BaseID + index otherwise).
 //     Readers fall back to this shape when per-row work was already
-//     necessary (e.g. a UNION READ merge that dropped deleted rows).
+//     necessary (e.g. a UNION READ merge that dropped deleted rows),
+//     and row-only readers arrive as one-row batches of this shape.
 //
 // Exactly one of Cols/Rows is non-nil. Batches and everything they
 // reference are reused by the reader between NextBatch calls; mappers
@@ -24,6 +25,8 @@ type RecordBatch struct {
 	Rows   []datum.Row
 	BaseID uint64
 	IDs    []uint64
+
+	rowBuf datum.Row // EachRow's materialization buffer, reused across batches
 }
 
 // Meta returns row i's record metadata.
@@ -50,6 +53,27 @@ func (b *RecordBatch) RowInto(buf datum.Row, i int) datum.Row {
 	return buf
 }
 
+// EachRow is the row walk every row-at-a-time mapper shares: it calls
+// fn on each record of the batch in order. Row batches hand out their
+// rows as they are; columnar rows are materialized into one buffer the
+// batch keeps across NextBatch calls, so the walk allocates nothing
+// per row.
+func (b *RecordBatch) EachRow(emit Emitter, fn MapFunc) error {
+	for i := 0; i < b.Len; i++ {
+		var row datum.Row
+		if b.Rows != nil {
+			row = b.Rows[i]
+		} else {
+			b.rowBuf = b.RowInto(b.rowBuf, i)
+			row = b.rowBuf
+		}
+		if err := fn(row, b.Meta(i), emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BatchRecordReader is a RecordReader that can also deliver its
 // records in batches. The engine drives whichever shape it prefers but
 // never mixes the two on one reader.
@@ -60,46 +84,58 @@ type BatchRecordReader interface {
 	NextBatch(b *RecordBatch) error
 }
 
-// BatchMapper is a Mapper that can consume whole record batches,
-// amortizing per-record dispatch. The engine calls MapBatch instead of
-// Map when the input reader produces batches; Flush still runs once at
-// task end.
-type BatchMapper interface {
-	Mapper
-	MapBatch(b *RecordBatch, emit Emitter) error
+// rowBatchReader adapts a row-only reader (or any reader when
+// Cluster.DisableBatchScan is set) to the batch loop: each Next
+// becomes a zero-copy one-row Rows batch carrying the record's ID.
+type rowBatchReader struct {
+	RecordReader
+	row [1]datum.Row
+	id  [1]uint64
 }
 
-// runBatchLoop drives a map task from a batching reader. When the
-// mapper is batch-aware it receives whole batches; otherwise rows are
-// materialized into a reused buffer — the adapter that keeps
-// row-at-a-time mappers working unchanged on batch inputs.
+func (r *rowBatchReader) NextBatch(b *RecordBatch) error {
+	row, meta, err := r.Next()
+	if err != nil {
+		return err
+	}
+	r.row[0], r.id[0] = row, meta.RecordID
+	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = 1, nil, r.row[:], 0, r.id[:]
+	return nil
+}
+
+// batchReader returns the batch form the map loop drives: the reader
+// itself when it batches natively and batching is enabled, otherwise
+// the one-row adapter over its Next.
+func batchReader(rr RecordReader, disableBatch bool) BatchRecordReader {
+	if br, ok := rr.(BatchRecordReader); ok && !disableBatch {
+		return br
+	}
+	return &rowBatchReader{RecordReader: rr}
+}
+
+// runBatchLoop drives a map task: every batch goes to the mapper's
+// MapBatch. Cancellation is checked before the first batch and then
+// whenever the record count crosses a multiple of 128 — per batch for
+// vectorized readers, every 128 records for one-row batches.
 func runBatchLoop(ctx ctxDone, br BatchRecordReader, mapper Mapper, emit Emitter, inRecords *int64) error {
-	bm, batchAware := mapper.(BatchMapper)
 	var batch RecordBatch
-	var rowBuf datum.Row
+	checked := int64(-1)
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		if n := *inRecords >> 7; n != checked {
+			checked = n
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		err := br.NextBatch(&batch)
-		if err != nil {
+		if err := br.NextBatch(&batch); err != nil {
 			if isEOF(err) {
 				return nil
 			}
 			return err
 		}
 		*inRecords += int64(batch.Len)
-		if batchAware {
-			if err := bm.MapBatch(&batch, emit); err != nil {
-				return err
-			}
-			continue
-		}
-		for i := 0; i < batch.Len; i++ {
-			rowBuf = batch.RowInto(rowBuf, i)
-			if err := mapper.Map(rowBuf, batch.Meta(i), emit); err != nil {
-				return err
-			}
+		if err := mapper.MapBatch(&batch, emit); err != nil {
+			return err
 		}
 	}
 }

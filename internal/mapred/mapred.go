@@ -9,14 +9,17 @@
 //
 // # Batched input
 //
-// Readers that implement BatchRecordReader deliver records as
-// RecordBatch values — column vectors for untouched data, materialized
-// rows where the reader already paid per-row work — and the map loop
-// consumes whole batches: a BatchMapper receives them directly, a
-// plain Mapper sees rows materialized from the batch into a reused
-// buffer. Batch and row execution are interchangeable by contract
-// (identical output, counters and metering); Cluster.DisableBatchScan
-// forces the row loop for equivalence testing.
+// Every map task runs one loop over RecordBatch values, and every
+// Mapper consumes whole batches through MapBatch. Readers that
+// implement BatchRecordReader deliver column vectors for untouched
+// data and materialized rows where they already paid per-row work;
+// row-only readers are adapted into zero-copy one-row batches.
+// Row-at-a-time mappers (MapFunc and the side-effect mappers built on
+// it) walk each batch with RecordBatch.EachRow, which materializes
+// columnar rows into one reused buffer. Cluster.DisableBatchScan makes
+// every reader go through the one-row adapter, its row-at-a-time
+// Next: the reference the equivalence suites compare the vectorized
+// readers against (identical output, counters and metering).
 //
 // # Shuffle
 //
@@ -98,11 +101,14 @@ type InputSplit interface {
 // ownership of the value (see the package ownership contract).
 type Emitter func(key []byte, value datum.Row) error
 
-// Mapper processes one input record. A fresh Mapper is built per map
-// task via the job's MapperFactory, so implementations may keep state.
+// Mapper processes the input records of one map task, a batch at a
+// time. A fresh Mapper is built per map task via the job's NewMapper,
+// so implementations may keep state.
 type Mapper interface {
-	Map(row datum.Row, meta RecordMeta, emit Emitter) error
-	// Flush is called once after the task's last record.
+	// MapBatch processes one batch; see RecordBatch for its shapes
+	// and ownership.
+	MapBatch(b *RecordBatch, emit Emitter) error
+	// Flush is called once after the task's last batch.
 	Flush(emit Emitter) error
 }
 
@@ -116,7 +122,7 @@ type Reducer interface {
 
 // MeterAware is implemented by mappers that perform side-effect I/O
 // (e.g. DualTable's EDIT UDTFs writing to the attached table). The
-// engine injects the task's meter before the first Map call so the
+// engine injects the task's meter before the first MapBatch call so the
 // side-effect costs participate in the task makespan.
 type MeterAware interface {
 	SetMeter(m *sim.Meter)
@@ -140,11 +146,11 @@ type OutputFactory interface {
 type Cluster struct {
 	Params      sim.CostParams
 	Parallelism int // concurrent tasks (real goroutines); 0 = NumCPU
-	// DisableBatchScan forces the row-at-a-time map loop even when a
-	// reader implements BatchRecordReader. Both loops produce
-	// byte-identical results, counters and simulated seconds (the
-	// equivalence tests assert it); the toggle exists for those tests
-	// and for isolating regressions.
+	// DisableBatchScan reads every split row at a time through its
+	// RecordReader's Next, even when the reader implements
+	// BatchRecordReader. Both produce byte-identical results, counters
+	// and simulated seconds (the equivalence tests assert it); the
+	// toggle exists for those tests and for isolating regressions.
 	DisableBatchScan bool
 }
 
@@ -368,30 +374,8 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 		}
 	}
 
-	if br, ok := rr.(BatchRecordReader); ok && !c.DisableBatchScan {
-		if err := runBatchLoop(ctx, br, mapper, emit, &inRecords); err != nil {
-			return fmt.Errorf("mapred: map task %d: %w", taskID, err)
-		}
-	} else {
-		for {
-			// Cancellation check between records (cheap: every 128 rows).
-			if inRecords&127 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			row, meta, err := rr.Next()
-			if err != nil {
-				if isEOF(err) {
-					break
-				}
-				return fmt.Errorf("mapred: split %d: %w", taskID, err)
-			}
-			inRecords++
-			if err := mapper.Map(row, meta, emit); err != nil {
-				return fmt.Errorf("mapred: map task %d: %w", taskID, err)
-			}
-		}
+	if err := runBatchLoop(ctx, batchReader(rr, c.DisableBatchScan), mapper, emit, &inRecords); err != nil {
+		return fmt.Errorf("mapred: map task %d: %w", taskID, err)
 	}
 	if err := mapper.Flush(emit); err != nil {
 		return fmt.Errorf("mapred: map flush %d: %w", taskID, err)
@@ -678,16 +662,47 @@ func (r *sliceReader) Next() (datum.Row, RecordMeta, error) {
 
 func (r *sliceReader) Close() error { return nil }
 
-// MapFunc adapts a function to the Mapper interface.
+// MapFunc adapts a row-at-a-time function to the Mapper interface.
 type MapFunc func(row datum.Row, meta RecordMeta, emit Emitter) error
 
-// Map invokes the function.
-func (f MapFunc) Map(row datum.Row, meta RecordMeta, emit Emitter) error {
-	return f(row, meta, emit)
+// MapBatch calls the function on each record of the batch.
+func (f MapFunc) MapBatch(b *RecordBatch, emit Emitter) error {
+	return b.EachRow(emit, f)
 }
 
 // Flush is a no-op.
 func (f MapFunc) Flush(emit Emitter) error { return nil }
+
+// MeteredMapper is a row-at-a-time mapper built from closures that
+// perform side-effect I/O, such as the EDIT UDTFs' attached-table puts
+// or ACID delta writes. It is MeterAware: both closures receive the
+// task meter, so the side-effect costs parallelize across map slots in
+// the simulated makespan.
+type MeteredMapper struct {
+	MapFn   func(m *sim.Meter, row datum.Row, meta RecordMeta, emit Emitter) error
+	FlushFn func(m *sim.Meter, emit Emitter) error // optional
+	meter   *sim.Meter
+}
+
+// SetMeter receives the task meter.
+func (f *MeteredMapper) SetMeter(m *sim.Meter) { f.meter = m }
+
+// MapBatch calls MapFn on each record of the batch.
+func (f *MeteredMapper) MapBatch(b *RecordBatch, emit Emitter) error {
+	return b.EachRow(emit, f.mapRow)
+}
+
+func (f *MeteredMapper) mapRow(row datum.Row, meta RecordMeta, emit Emitter) error {
+	return f.MapFn(f.meter, row, meta, emit)
+}
+
+// Flush calls FlushFn, if set.
+func (f *MeteredMapper) Flush(emit Emitter) error {
+	if f.FlushFn == nil {
+		return nil
+	}
+	return f.FlushFn(f.meter, emit)
+}
 
 // ReduceFunc adapts a function to the Reducer interface.
 type ReduceFunc func(key []byte, rows []datum.Row, emit Emitter) error

@@ -87,6 +87,20 @@ func (g *gate) acquire(ctx context.Context) error {
 // release frees the slot claimed by a successful acquire.
 func (g *gate) release() { <-g.sem }
 
+// releaser returns an idempotent release for a slot claimed by a
+// successful acquire: call it once the statement stops executing,
+// before its terminal frame goes out, and defer it for the early
+// returns and panics in between.
+func (g *gate) releaser() func() {
+	held := true
+	return func() {
+		if held {
+			held = false
+			g.release()
+		}
+	}
+}
+
 // reserveBytes claims n bytes of the tenant's in-flight result-memory
 // budget, failing with the typed quota error when the cap would be
 // exceeded. The caller must releaseBytes(n) iff reserve returned nil.

@@ -466,9 +466,15 @@ func (c *conn) runExec(op *activeOp, m *wire.Exec) {
 		c.sendError(m.OpID, statementErr(ctx, err))
 		return
 	}
-	defer c.gate.release()
+	release := c.gate.releaser()
+	defer release()
 
 	rs, err := c.execStatement(ctx, m)
+	// The statement is done executing: free its slot before any answer
+	// goes out, so a client that sends its next statement on receipt
+	// cannot be shed by this one. The answer's bytes stay governed by
+	// reserveBytes.
+	release()
 	if err != nil {
 		c.sendError(m.OpID, statementErr(ctx, err))
 		return
@@ -550,10 +556,12 @@ func (c *conn) runQuery(op *activeOp, m *wire.Query) {
 		c.sendError(m.OpID, statementErr(ctx, err))
 		return
 	}
-	defer c.gate.release()
+	release := c.gate.releaser()
+	defer release()
 
 	rows, err := c.queryStatement(ctx, m)
 	if err != nil {
+		release()
 		c.sendError(m.OpID, statementErr(ctx, err))
 		return
 	}
@@ -653,6 +661,10 @@ func (c *conn) runQuery(op *activeOp, m *wire.Query) {
 		end.Code = uint32(dualtable.CodeOf(streamErr))
 		end.Msg = streamErr.Error()
 	}
+	// As in runExec: the slot is free before the client can see the
+	// end of the stream.
+	rows.Close()
+	release()
 	if err := c.wc.Send(wire.TypeQueryEnd, end.Encode()); err != nil {
 		c.srv.logf("conn %d: send query end: %v", c.id, err)
 	}
