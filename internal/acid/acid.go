@@ -160,9 +160,11 @@ func (h *Handler) loadDeltas(desc *metastore.TableDesc, m *sim.Meter) ([]deltaEn
 			fr.Close()
 			return nil, err
 		}
-		rr := rd.NewRowReader(orcfile.RowReaderOptions{})
+		br := rd.NewBatchReader(orcfile.RowReaderOptions{})
+		cols := make([]datum.ColumnVector, len(rd.Schema()))
+		width := len(cols) - 2
 		for {
-			row, _, err := rr.Next()
+			n, _, err := br.NextBatch(cols, 0)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -170,13 +172,20 @@ func (h *Handler) loadDeltas(desc *metastore.TableDesc, m *sim.Meter) ([]deltaEn
 				fr.Close()
 				return nil, fmt.Errorf("acid: read delta %s: %w", fi.Name, err)
 			}
-			entry := deltaEntry{
-				rid: uint64(row[0].I),
-				op:  row[1].I,
-				row: row[2:].Clone(),
-				seq: seq,
+			// One allocation holds every entry row of the batch.
+			arena := make(datum.Row, n*width)
+			for i := 0; i < n; i++ {
+				row := arena[i*width : (i+1)*width : (i+1)*width]
+				for c := range row {
+					row[c] = cols[c+2].Datum(i)
+				}
+				out = append(out, deltaEntry{
+					rid: uint64(cols[0].Datum(i).I),
+					op:  cols[1].Datum(i).I,
+					row: row,
+					seq: seq,
+				})
 			}
-			out = append(out, entry)
 		}
 		fr.Close()
 	}
@@ -380,60 +389,84 @@ func (s *acidSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	end := sort.Search(len(deltas), func(i int) bool { return deltas[i].rid >= hi })
 	return &acidReader{
 		fr:     fr,
-		rows:   rd.NewRowReader(orcfile.RowReaderOptions{Columns: s.opts.Projection}),
+		batch:  rd.NewBatchReader(orcfile.RowReaderOptions{Columns: s.opts.Projection}),
+		cols:   make([]datum.ColumnVector, len(rd.Schema())),
 		deltas: deltas[start:end],
 		fileID: s.file.fileID,
 	}, nil
 }
 
+// acidReader merges the base file's batches with the split's deltas.
+// A batch whose record ID range holds no delta passes through as
+// column vectors; any other batch is materialized as rows.
 type acidReader struct {
 	fr     *dfs.FileReader
-	rows   *orcfile.RowReader
+	batch  *orcfile.BatchReader
+	cols   []datum.ColumnVector
 	deltas []deltaEntry
 	fileID uint32
 	di     int
+
+	// reusable buffers for materialized batches.
+	arena datum.Row
+	rows  []datum.Row
+	ids   []uint64
 }
 
-func (r *acidReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	for {
-		row, ord, err := r.rows.Next()
-		if errors.Is(err, io.EOF) {
-			return nil, mapred.RecordMeta{}, mapred.EOF
-		}
-		if err != nil {
-			// A corrupt base stripe fails the scan; it must not end it
-			// early with fewer rows.
-			return nil, mapred.RecordMeta{}, fmt.Errorf("acid: read base file %d: %w", r.fileID, err)
-		}
-		rid := uint64(r.fileID)<<32 | uint64(ord)
-		for r.di < len(r.deltas) && r.deltas[r.di].rid < rid {
-			r.di++
-		}
-		// Apply every matching delta in transaction order; the last
-		// one wins.
-		var final datum.Row = row
+func (r *acidReader) NextBatch(b *mapred.RecordBatch) error {
+	n, base, err := r.batch.NextBatch(r.cols, 0)
+	if errors.Is(err, io.EOF) {
+		return mapred.EOF
+	}
+	if err != nil {
+		// A corrupt base stripe fails the scan; it must not end it
+		// early with fewer rows.
+		return fmt.Errorf("acid: read base file %d: %w", r.fileID, err)
+	}
+	baseRid := uint64(r.fileID)<<32 | uint64(base)
+	for r.di < len(r.deltas) && r.deltas[r.di].rid < baseRid {
+		r.di++
+	}
+	lo := r.di
+	for r.di < len(r.deltas) && r.deltas[r.di].rid < baseRid+uint64(n) {
+		r.di++
+	}
+	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = n, r.cols, nil, baseRid, nil
+	if lo == r.di {
+		return nil
+	}
+	r.materialize(b, baseRid, r.deltas[lo:r.di])
+	return nil
+}
+
+// materialize rebuilds batch b as rows: every record's deltas apply in
+// transaction order, so the last one wins, and deleted records drop.
+func (r *acidReader) materialize(b *mapred.RecordBatch, baseRid uint64, deltas []deltaEntry) {
+	ncols := len(r.cols)
+	r.arena, r.rows, r.ids = r.arena[:0], r.rows[:0], r.ids[:0]
+	k := 0
+	for i := 0; i < b.Len; i++ {
+		rid := baseRid + uint64(i)
+		var final datum.Row
 		deleted := false
-		applied := false
-		for r.di < len(r.deltas) && r.deltas[r.di].rid == rid {
-			d := r.deltas[r.di]
-			if d.op == opDelete {
-				deleted = true
-			} else {
-				deleted = false
-				final = d.row
-				applied = true
-			}
-			r.di++
+		for ; k < len(deltas) && deltas[k].rid == rid; k++ {
+			deleted = deltas[k].op == opDelete
+			final = deltas[k].row
 		}
-		meta := mapred.RecordMeta{RecordID: rid}
 		if deleted {
 			continue
 		}
-		if applied {
-			return final, meta, nil
+		if final == nil {
+			off := len(r.arena)
+			for c := range r.cols {
+				r.arena = append(r.arena, r.cols[c].Datum(i))
+			}
+			final = r.arena[off : off+ncols : off+ncols]
 		}
-		return row, meta, nil
+		r.rows = append(r.rows, final)
+		r.ids = append(r.ids, rid)
 	}
+	b.Len, b.Cols, b.Rows, b.IDs = len(r.rows), nil, r.rows, r.ids
 }
 
 func (r *acidReader) Close() error { return r.fr.Close() }

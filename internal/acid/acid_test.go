@@ -198,11 +198,14 @@ func TestAcidReadAmplification(t *testing.T) {
 	}
 }
 
-// TestCorruptStripeFailsScan corrupts the block holding the first
-// stripe of a table's data file under verifying reads: the scan must
-// fail with the typed checksum error, never return a short count.
+// TestCorruptStripeFailsScan corrupts one block of each file holding
+// a table's data under verifying reads: the first stripe of an ORC or
+// ACID data file, or a key-value store file of an HBASE table or of a
+// DUALTABLE's attached table. The scan must fail with the typed
+// checksum error, never return a short count or resurrect deleted
+// rows.
 func TestCorruptStripeFailsScan(t *testing.T) {
-	for _, storage := range []string{"ORC", "ACID"} {
+	for _, storage := range []string{"ORC", "ACID", "HBASE", "DUALTABLE"} {
 		t.Run(storage, func(t *testing.T) {
 			fs := dfs.New(dfs.Config{BlockSize: 1 << 10, Replication: 1, DataNodes: 4, VerifyOnRead: true})
 			kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
@@ -213,6 +216,11 @@ func TestCorruptStripeFailsScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			dual, err := core.Register(e, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dual.SetForcePlan("EDIT")
 			if _, err := Register(e); err != nil {
 				t.Fatal(err)
 			}
@@ -226,41 +234,82 @@ func TestCorruptStripeFailsScan(t *testing.T) {
 				fmt.Fprintf(&sb, "(%d, %d.5)", i, i*7919%1000)
 			}
 			mustExec(t, e, sb.String())
-			if rs := mustExec(t, e, "SELECT COUNT(*) FROM c WHERE id >= 0"); rs.Rows[0][0].I != 3000 {
-				t.Fatalf("clean COUNT(*) = %v, want 3000", rs.Rows[0])
-			}
-
-			desc, err := e.MS.Get("c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := desc.Location
-			if storage == "ACID" {
-				dir = baseDir(desc)
-			}
-			files, err := fs.ListFiles(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var data *dfs.FileInfo
-			for i := range files {
-				if strings.HasSuffix(files[i].Name, ".orc") {
-					data = &files[i]
-				}
-			}
-			if data == nil || data.Size <= 2<<10 {
-				t.Fatalf("want a multi-block data file under %s, got %+v", dir, files)
-			}
-			if err := fs.CorruptBlock(data.Path, 0); err != nil {
-				t.Fatal(err)
+			want := int64(3000)
+			if storage == "DUALTABLE" {
+				// The deletes live only in the attached table.
+				mustExec(t, e, "DELETE FROM c WHERE id < 2000")
+				want = 1000
 			}
 			// The filter makes the scan decode the id column. A bare
 			// COUNT(*) projects no column, so it reads no stripe data
 			// and has nothing to verify.
+			if rs := mustExec(t, e, "SELECT COUNT(*) FROM c WHERE id >= 0"); rs.Rows[0][0].I != want {
+				t.Fatalf("clean COUNT(*) = %v, want %d", rs.Rows[0], want)
+			}
+
+			for _, p := range corruptTargets(t, e, kv, storage) {
+				if err := fs.CorruptBlock(p, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
 			rs, err := e.Execute("SELECT COUNT(*) FROM c WHERE id >= 0")
 			if !errors.Is(err, dfs.ErrCorruptBlock) {
-				t.Fatalf("COUNT(*) over a corrupt stripe = %v, %v; want dfs.ErrCorruptBlock", rs, err)
+				t.Fatalf("COUNT(*) over a corrupt block = %v, %v; want dfs.ErrCorruptBlock", rs, err)
 			}
 		})
 	}
+}
+
+// corruptTargets returns the multi-block files that hold table c's
+// data for the storage under test: its ORC data file, or the store
+// files of the key-value table behind it (flushed first).
+func corruptTargets(t *testing.T, e *hive.Engine, kv *kvstore.Cluster, storage string) []string {
+	t.Helper()
+	desc, err := e.MS.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, suffix := desc.Location, ".orc"
+	switch storage {
+	case "ACID":
+		dir = baseDir(desc)
+	case "HBASE", "DUALTABLE":
+		prefix := map[string]string{"HBASE": "hive_c", "DUALTABLE": "dt_c_attached"}[storage]
+		var tbl *kvstore.Table
+		for _, n := range kv.TableNames() {
+			if strings.HasPrefix(n, prefix) {
+				if tbl, err = kv.Table(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tbl == nil {
+			t.Fatalf("no key-value table %s* among %v", prefix, kv.TableNames())
+		}
+		if err := tbl.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+		dir, suffix = "/hbase/"+tbl.Name(), ""
+	}
+	var out []string
+	var walk func(string)
+	walk = func(d string) {
+		infos, err := e.FS.List(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fi := range infos {
+			switch {
+			case fi.IsDir:
+				walk(fi.Path)
+			case fi.Blocks > 1 && strings.HasSuffix(fi.Name, suffix) && fi.Name != "wal":
+				out = append(out, fi.Path)
+			}
+		}
+	}
+	walk(dir)
+	if len(out) == 0 {
+		t.Fatalf("no multi-block data file under %s", dir)
+	}
+	return out
 }

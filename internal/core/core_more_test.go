@@ -69,7 +69,7 @@ func TestCompactDoesNotBlockScans(t *testing.T) {
 	}
 
 	// Reference: a solo scan of the pre-compaction epoch.
-	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4)
 	if len(ref.rows) == 0 {
 		t.Fatal("reference scan returned no rows")
 	}

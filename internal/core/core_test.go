@@ -51,15 +51,19 @@ func mustExec(t *testing.T, e *hive.Engine, sql string) *hive.ResultSet {
 func seedDual(t *testing.T, e *hive.Engine) {
 	t.Helper()
 	mustExec(t, e, "CREATE TABLE m (id BIGINT, day BIGINT, v DOUBLE, tag STRING) STORED AS DUALTABLE")
+	mustExec(t, e, "INSERT INTO m VALUES "+seedDualValues())
+}
+
+// seedDualValues is the VALUES list seedDual inserts.
+func seedDualValues() string {
 	var sb strings.Builder
-	sb.WriteString("INSERT INTO m VALUES ")
 	for i := 0; i < 360; i++ {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
 		fmt.Fprintf(&sb, "(%d, %d, %d.5, 'tag%d')", i, i%36, i, i%4)
 	}
-	mustExec(t, e, sb.String())
+	return sb.String()
 }
 
 func TestRecordIDProperties(t *testing.T) {

@@ -28,7 +28,7 @@ func TestDropTableIsPinAware(t *testing.T) {
 	desc, _ := e.MS.Get("m")
 
 	// Reference: a solo scan of the pre-DROP epoch.
-	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4)
 	if len(ref.rows) == 0 {
 		t.Fatal("reference scan returned no rows")
 	}

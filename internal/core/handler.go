@@ -584,7 +584,9 @@ func (h *Handler) AttachedEntryCount(desc *metastore.TableDesc) (int64, error) {
 			}
 			total++
 		}
-		sc.Close()
+		if err := sc.Close(); err != nil {
+			return 0, fmt.Errorf("core: count attached entries of file %d: %w", f.FileID, err)
+		}
 	}
 	return total, nil
 }

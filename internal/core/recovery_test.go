@@ -71,7 +71,7 @@ func TestCompactAbortReclaimsStagedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := masterDirFiles(t, e, "m")
-	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4)
 
 	// Cancel between stage (rewrite job done) and publish.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -101,7 +101,7 @@ func TestCompactAbortReclaimsStagedFiles(t *testing.T) {
 
 	// The follow-up COMPACT succeeds and preserves the data.
 	mustExec(t, e, "COMPACT TABLE m")
-	got := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	got := runUnionScan(t, e, h, "m", ScanOptions{}, 4)
 	assertSameScanRows(t, "post-abort COMPACT", ref, got)
 	assertNoOrphans(t, e, "m")
 }
@@ -212,7 +212,7 @@ func TestTornWriteDuringInsertAborts(t *testing.T) {
 	seedDual(t, e)
 	e.MS.SetRetentionEpochs("m", 0)
 	before := masterDirFiles(t, e, "m")
-	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4)
 
 	e.FS.SetFaultInjector(dfs.NewScheduleInjector(
 		dfs.FaultRule{Op: dfs.OpWrite, PathContains: "/warehouse/m/", TearBytes: 7},
@@ -229,11 +229,11 @@ func TestTornWriteDuringInsertAborts(t *testing.T) {
 			t.Errorf("torn staged file survived the abort: %s", p)
 		}
 	}
-	got := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	got := runUnionScan(t, e, h, "m", ScanOptions{}, 4)
 	assertSameScanRows(t, "post-torn-write scan", ref, got)
 
 	mustExec(t, e, "INSERT INTO m VALUES (9002, 1, 2.5, 'ok')")
-	got = runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	got = runUnionScan(t, e, h, "m", ScanOptions{}, 4)
 	if len(got.rows) != len(ref.rows)+1 {
 		t.Fatalf("follow-up INSERT: %d rows, want %d", len(got.rows), len(ref.rows)+1)
 	}
@@ -277,7 +277,7 @@ func TestRecoverOrphansSweepsUnpublished(t *testing.T) {
 	}
 	// Legit files are untouched and the table still reads.
 	assertNoOrphans(t, e, "m")
-	if got := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false); len(got.rows) != 360 {
+	if got := runUnionScan(t, e, h, "m", ScanOptions{}, 4); len(got.rows) != 360 {
 		t.Fatalf("post-recovery scan: %d rows, want 360", len(got.rows))
 	}
 

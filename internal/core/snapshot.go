@@ -375,7 +375,11 @@ func (s *Snapshot) loadEntries() error {
 			}
 			s.entries[f.fileID] = append(s.entries[f.fileID], attEntry{rid: rid, cells: cells})
 		}
-		sc.Close()
+		// A failed scan ends the stream early: reading on with the
+		// entries seen so far would resurrect deleted rows.
+		if err := sc.Close(); err != nil {
+			return fmt.Errorf("core: load attached entries of file %d: %w", f.fileID, err)
+		}
 		s.attSeconds[f.fileID] = m.Seconds()
 	}
 	return nil
@@ -727,21 +731,24 @@ func (h *Handler) expireRetainedLocked(desc *metastore.TableDesc, st *tableState
 // (outside any lock; see expireRetainedLocked).
 func (h *Handler) purgeExpired(desc *metastore.TableDesc, expired []retainedEpochs) {
 	for _, re := range expired {
-		h.purgeAttachedRanges(desc, re.files)
+		// Best effort: the statement that expired these epochs has
+		// committed, and the purged cells are invisible to every live
+		// scan, so a failed purge only delays space reclamation.
+		_ = h.purgeAttachedRanges(desc, re.files)
 	}
 }
 
 // purgeAttachedRanges deletes the attached-table rows keyed by the
 // given (superseded) master files' record ID ranges, as one batched
-// write of row tombstones. Best effort: the cells are invisible to
-// every live scan regardless, so a missed purge only delays space
-// reclamation.
-func (h *Handler) purgeAttachedRanges(desc *metastore.TableDesc, files []metastore.ManifestFile) {
+// write of row tombstones. A failed range scan still purges the rows
+// it read; its error is returned unless the write fails too.
+func (h *Handler) purgeAttachedRanges(desc *metastore.TableDesc, files []metastore.ManifestFile) error {
 	att, err := h.attached(desc)
 	if err != nil {
-		return
+		return err
 	}
 	var batch []*kvstore.Cell
+	var scanErr error
 	for _, f := range files {
 		start, end := FileRange(f.FileID)
 		sc := att.NewScanner(kvstore.Scan{Start: start, End: end})
@@ -756,11 +763,16 @@ func (h *Handler) purgeAttachedRanges(desc *metastore.TableDesc, files []metasto
 				batch = append(batch, &kvstore.Cell{Row: last, Type: kvstore.TypeDeleteRow})
 			}
 		}
-		sc.Close()
+		if err := sc.Close(); err != nil && scanErr == nil {
+			scanErr = fmt.Errorf("core: purge scan of file %d: %w", f.FileID, err)
+		}
 	}
 	if len(batch) > 0 {
-		att.Put(batch, nil)
+		if err := att.Put(batch, nil); err != nil {
+			return err
+		}
 	}
+	return scanErr
 }
 
 // CurrentEpoch returns the table's current manifest epoch

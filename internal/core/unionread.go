@@ -74,89 +74,38 @@ func (s *unionReadSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	}
 	return &unionReadReader{
 		fr: fr,
-		rd: rd,
-		opts: orcfile.RowReaderOptions{
+		batch: rd.NewBatchReader(orcfile.RowReaderOptions{
 			Columns:   s.opts.Projection,
 			SearchArg: sarg,
-		},
+		}),
 		entries: s.entries,
 		fileID:  s.file.fileID,
-		schema:  s.schema,
 		meter:   m,
+		cols:    make([]datum.ColumnVector, len(s.schema)),
 	}, nil
 }
 
-// unionReadReader implements the merge. It serves records either row
-// at a time (Next) or in vectorized batches (NextBatch); the MapReduce
-// engine picks one mode per task and never mixes them, so the ORC-side
-// machinery is created lazily for whichever mode runs.
+// unionReadReader implements the merge over column-vector batches.
 type unionReadReader struct {
 	fr      interface{ Close() error }
-	rd      *orcfile.Reader
-	opts    orcfile.RowReaderOptions
-	rows    *orcfile.RowReader   // row mode, lazy
-	batch   *orcfile.BatchReader // batch mode, lazy
+	batch   *orcfile.BatchReader
 	entries []attEntry
 	attIdx  int
 	fileID  uint32
 	meter   *sim.Meter
 
-	schema datum.Schema
 	// mergedRows counts rows passed through the merge; the per-row
-	// UNION READ overhead is charged in one batch at Close so the hot
-	// loop performs no meter call per record (simulated seconds are
-	// n·cost either way).
+	// UNION READ overhead (the paper's Fig. 4 "function invocation"
+	// overhead, present even with an empty attached table) is charged
+	// in one batch at Close so the hot loop performs no meter call per
+	// record (simulated seconds are n·cost either way).
 	mergedRows int64
 
-	// batch-mode reusable buffers.
+	// reusable buffers.
 	cols    []datum.ColumnVector
 	rowsBuf []datum.Row
 	arena   datum.Row
 	ids     []uint64
-}
-
-func (r *unionReadReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	if r.rows == nil {
-		r.rows = r.rd.NewRowReader(r.opts)
-	}
-	for {
-		row, ord, err := r.rows.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, mapred.RecordMeta{}, mapred.EOF
-			}
-			return nil, mapred.RecordMeta{}, err
-		}
-		// Per-row merge bookkeeping (the paper's Fig. 4 "function
-		// invocation" overhead, present even with an empty attached
-		// table); charged in batch at Close.
-		r.mergedRows++
-		rid := NewRecordID(r.fileID, uint32(ord))
-		// Skip attached IDs below the master row (orphans from aborted
-		// writes).
-		for r.attIdx < len(r.entries) && r.entries[r.attIdx].rid < rid {
-			r.attIdx++
-		}
-		meta := mapred.RecordMeta{RecordID: uint64(rid)}
-		if r.attIdx >= len(r.entries) || r.entries[r.attIdx].rid != rid {
-			return row, meta, nil
-		}
-		// Merge the modifications in place. The ORC reader hands out a
-		// reused row buffer that is refilled on the next call, so
-		// writing the updated cells into it is safe and saves a clone
-		// per dirty row; every column the query evaluates is part of
-		// the projection, so a write to a non-projected column cannot
-		// leak into later rows' visible output.
-		deleted, err := mergeCells(row, r.entries[r.attIdx].cells)
-		if err != nil {
-			return nil, meta, fmt.Errorf("core: decode attached cell %s: %w", rid, err)
-		}
-		r.attIdx++
-		if deleted {
-			continue // row is deleted; skip to the next master row
-		}
-		return row, meta, nil
-	}
 }
 
 // mergeCells applies one attached entry's cells to row in place,
@@ -188,10 +137,6 @@ func mergeCells(row datum.Row, cells []kvstore.Cell) (deleted bool, err error) {
 // place; only batches with delete markers (or a cell whose kind the
 // vector cannot hold) fall back to materialized rows.
 func (r *unionReadReader) NextBatch(b *mapred.RecordBatch) error {
-	if r.batch == nil {
-		r.batch = r.rd.NewBatchReader(r.opts)
-		r.cols = make([]datum.ColumnVector, len(r.schema))
-	}
 	n, base, err := r.batch.NextBatch(r.cols, 0)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -246,10 +191,9 @@ func (r *unionReadReader) NextBatch(b *mapred.RecordBatch) error {
 
 // materializeBatch handles delete markers (and scatter misfits): the
 // batch is rebuilt as rows with explicit record IDs, deleted records
-// dropped — the same per-row path the row-mode merge takes. Updates
-// already scattered into the vectors before the fallback are harmless:
-// rows are re-materialized from the vectors and the remaining cells
-// re-applied idempotently.
+// dropped. Updates already scattered into the vectors before the
+// fallback are harmless: rows are re-materialized from the vectors and
+// the remaining cells re-applied idempotently.
 func (r *unionReadReader) materializeBatch(b *mapred.RecordBatch, n int, baseRid RecordID, overlap []attEntry) error {
 	if cap(r.rowsBuf) < n {
 		r.rowsBuf = make([]datum.Row, n)

@@ -180,33 +180,53 @@ func (s *kvSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	return &kvRecordReader{rs: rs, schema: s.schema}, nil
 }
 
+// kvRecordReader serves a region range as Rows batches. It reads the
+// scanner one row at a time, so the scan is metered exactly as a
+// row-at-a-time reader would meter it; the batch's rows live in an
+// arena reused across batches.
 type kvRecordReader struct {
 	rs     *kvstore.RowScanner
 	schema datum.Schema
+	arena  datum.Row
+	rows   []datum.Row
+	ids    []uint64
 }
 
-func (r *kvRecordReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	res, ok := r.rs.Next()
-	if !ok {
-		return nil, mapred.RecordMeta{}, mapred.EOF
-	}
-	row := make(datum.Row, len(r.schema))
-	for i := range row {
-		row[i] = datum.Null
-	}
-	for _, cell := range res.Cells {
-		idx, err := strconv.Atoi(string(cell.Qualifier))
-		if err != nil || idx < 0 || idx >= len(row) {
-			continue
+func (r *kvRecordReader) NextBatch(b *mapred.RecordBatch) error {
+	width := len(r.schema)
+	r.arena, r.rows, r.ids = r.arena[:0], r.rows[:0], r.ids[:0]
+	for len(r.rows) < mapred.RowBatchRows {
+		res, ok := r.rs.Next()
+		if !ok {
+			if err := r.rs.Err(); err != nil {
+				return fmt.Errorf("hive: kv scan: %w", err)
+			}
+			break
 		}
-		d, _, err := datum.DecodeDatum(cell.Value)
-		if err != nil {
-			return nil, mapred.RecordMeta{}, fmt.Errorf("hive: kv cell decode: %w", err)
+		off := len(r.arena)
+		for i := 0; i < width; i++ {
+			r.arena = append(r.arena, datum.Null)
 		}
-		row[idx] = d
+		row := r.arena[off : off+width : off+width]
+		for _, cell := range res.Cells {
+			idx, err := strconv.Atoi(string(cell.Qualifier))
+			if err != nil || idx < 0 || idx >= width {
+				continue
+			}
+			d, _, err := datum.DecodeDatum(cell.Value)
+			if err != nil {
+				return fmt.Errorf("hive: kv cell decode: %w", err)
+			}
+			row[idx] = d
+		}
+		r.rows = append(r.rows, row)
+		r.ids = append(r.ids, binary.BigEndian.Uint64(res.Row))
 	}
-	meta := mapred.RecordMeta{RecordID: binary.BigEndian.Uint64(res.Row)}
-	return row, meta, nil
+	if len(r.rows) == 0 {
+		return mapred.EOF
+	}
+	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = len(r.rows), nil, r.rows, 0, r.ids
+	return nil
 }
 
 func (r *kvRecordReader) Close() error { return r.rs.Close() }

@@ -217,39 +217,24 @@ func (s *orcSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 		return nil, err
 	}
 	opts := orcfile.RowReaderOptions{Columns: s.opts.Projection, SearchArg: s.opts.SArg}
-	return &orcRecordReader{path: s.path, fr: fr, rd: rd, opts: opts}, nil
+	return &orcRecordReader{
+		path:  s.path,
+		fr:    fr,
+		batch: rd.NewBatchReader(opts),
+		cols:  make([]datum.ColumnVector, len(rd.Schema())),
+	}, nil
 }
 
-// orcRecordReader serves a file row at a time (Next) or in column
-// vector batches (NextBatch); the map loop uses one mode per task, so
-// the decoder for that mode is created on first use. Record IDs are
-// file row ordinals in both modes.
+// orcRecordReader serves a file as column vector batches; record IDs
+// are file row ordinals.
 type orcRecordReader struct {
 	path  string
 	fr    *dfs.FileReader
-	rd    *orcfile.Reader
-	opts  orcfile.RowReaderOptions
-	rows  *orcfile.RowReader
 	batch *orcfile.BatchReader
 	cols  []datum.ColumnVector
 }
 
-func (r *orcRecordReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	if r.rows == nil {
-		r.rows = r.rd.NewRowReader(r.opts)
-	}
-	row, ord, err := r.rows.Next()
-	if err != nil {
-		return nil, mapred.RecordMeta{}, r.readErr(err)
-	}
-	return row, mapred.RecordMeta{RecordID: uint64(ord)}, nil
-}
-
 func (r *orcRecordReader) NextBatch(b *mapred.RecordBatch) error {
-	if r.batch == nil {
-		r.batch = r.rd.NewBatchReader(r.opts)
-		r.cols = make([]datum.ColumnVector, len(r.rd.Schema()))
-	}
 	n, base, err := r.batch.NextBatch(r.cols, 0)
 	if err != nil {
 		return r.readErr(err)
@@ -325,11 +310,9 @@ func (h *textHandler) RowCount(desc *metastore.TableDesc) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		for {
-			if _, _, err := rr.Next(); err != nil {
-				break
-			}
-			n++
+		var b mapred.RecordBatch
+		for rr.NextBatch(&b) == nil {
+			n += int64(b.Len)
 		}
 		rr.Close()
 	}
@@ -419,26 +402,10 @@ func (s *textSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.DFSRead(int64(len(data)))
 	rows, err := parseDelimited(string(data), s.delim, s.schema)
 	if err != nil {
 		return nil, fmt.Errorf("hive: %s: %w", s.path, err)
 	}
-	return &sliceRecordReader{rows: rows}, nil
+	// The slice split charges the file's bytes as one DFS read.
+	return (&mapred.SliceSplit{Rows: rows, SimSize: int64(len(data))}).Open(m)
 }
-
-type sliceRecordReader struct {
-	rows []datum.Row
-	idx  int
-}
-
-func (r *sliceRecordReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	if r.idx >= len(r.rows) {
-		return nil, mapred.RecordMeta{}, mapred.EOF
-	}
-	row := r.rows[r.idx]
-	r.idx++
-	return row, mapred.RecordMeta{}, nil
-}
-
-func (r *sliceRecordReader) Close() error { return nil }

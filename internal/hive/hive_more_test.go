@@ -367,34 +367,40 @@ func TestBigTableManyStripes(t *testing.T) {
 
 // TestMapSideHashAggOverflow drives the map-side hash table past its
 // flush cap: mid-task flushes must hand partial groups to the
-// combiner, not lose or double them, on both scan paths.
+// combiner, not lose or double them, over an ORC table's column
+// vectors and over the same rows in a STORED AS HBASE table's Rows
+// batches.
 func TestMapSideHashAggOverflow(t *testing.T) {
 	old := maxHashGroups
 	maxHashGroups = 8
 	defer func() { maxHashGroups = old }()
 
 	e := testEngine(t)
-	mustExec(t, e, "CREATE TABLE hov (id BIGINT, grp BIGINT, v DOUBLE) STORED AS ORC")
 	rows := make([]datum.Row, 600)
 	for i := range rows {
 		// 30 groups, revisited repeatedly so accumulators keep folding
 		// across flush boundaries.
 		rows[i] = datum.Row{datum.Int(int64(i)), datum.Int(int64(i % 30)), datum.Float(1)}
 	}
-	if _, err := e.BulkLoad("hov", rows); err != nil {
-		t.Fatal(err)
-	}
-	for _, disable := range []bool{false, true} {
-		e.MR.DisableBatchScan = disable
-		rs := mustExec(t, e, "SELECT grp, COUNT(*), SUM(v) FROM hov GROUP BY grp ORDER BY grp")
+	for _, storage := range []string{"ORC", "HBASE"} {
+		table := "hov_" + strings.ToLower(storage)
+		mustExec(t, e, "CREATE TABLE "+table+" (id BIGINT, grp BIGINT, v DOUBLE) STORED AS "+storage)
+		if _, err := e.BulkLoad(table, rows); err != nil {
+			t.Fatal(err)
+		}
+		rs := mustExec(t, e, "SELECT grp, COUNT(*), SUM(v) FROM "+table+" GROUP BY grp ORDER BY grp")
 		if len(rs.Rows) != 30 {
-			t.Fatalf("disable=%v: %d groups, want 30", disable, len(rs.Rows))
+			t.Fatalf("%s: %d groups, want 30", storage, len(rs.Rows))
 		}
 		for i, r := range rs.Rows {
 			if sum, _ := r[2].AsFloat(); r[0].I != int64(i) || r[1].I != 20 || sum != 20 {
-				t.Fatalf("disable=%v: group row %d = %s, want %d 20 20", disable, i, r, i)
+				t.Fatalf("%s: group row %d = %s, want %d 20 20", storage, i, r, i)
 			}
 		}
+		// Recorded when the row-at-a-time and batch readers both
+		// existed and agreed.
+		if storage == "ORC" && rs.SimSeconds != 13.010140025 {
+			t.Errorf("ORC: SimSeconds = %v, want 13.010140025", rs.SimSeconds)
+		}
 	}
-	e.MR.DisableBatchScan = false
 }

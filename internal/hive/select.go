@@ -315,14 +315,14 @@ func itemExprs(items []sqlparser.SelectItem) []sqlparser.Expr {
 
 // simpleScanMapper is the filter+project mapper. MapBatch selects a
 // batch's passing rows (see scanFilter) and materializes only those,
-// and of those only the columns an expression actually needs; a row
-// batch (row-only readers, DisableBatchScan) takes the same steps
-// through the row-at-a-time evalFns. For ORDER BY ... LIMIT n
-// queries the task streams its rows through a bounded top-N heap and
-// emits at most n at Flush, in arrival order: only a task's n best
-// rows can survive the global stable sort + truncate, so the final
-// result is unchanged while the job stops materializing full result
-// sets.
+// and of those only the columns an expression actually needs; a Rows
+// batch (key-value and slice readers, dirty UNION READ batches) takes
+// the same steps through the row-at-a-time evalFns. For ORDER BY ...
+// LIMIT n queries the task streams its rows through a bounded top-N
+// heap and emits at most n at Flush, in arrival order: only a task's n
+// best rows can survive the global stable sort + truncate, so the
+// final result is unchanged while the job stops materializing full
+// result sets.
 type simpleScanMapper struct {
 	where  scanFilter
 	projs  []vecExpr
@@ -1700,20 +1700,38 @@ func (t *taggedSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 
 func (t *taggedSplit) Length() int64 { return t.inner.Length() }
 
+// taggedReader appends the tag as a trailing column: one constant
+// vector for a columnar batch, one datum per row (copied into an arena
+// reused across batches) for a Rows batch.
 type taggedReader struct {
 	inner mapred.RecordReader
 	tag   datum.Datum
+	cols  []datum.ColumnVector
+	tags  datum.ColumnVector
+	arena datum.Row
+	rows  []datum.Row
 }
 
-func (r *taggedReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	row, meta, err := r.inner.Next()
-	if err != nil {
-		return nil, meta, err
+func (r *taggedReader) NextBatch(b *mapred.RecordBatch) error {
+	if err := r.inner.NextBatch(b); err != nil {
+		return err
 	}
-	out := make(datum.Row, 0, len(row)+1)
-	out = append(out, row...)
-	out = append(out, r.tag)
-	return out, meta, nil
+	if b.Cols != nil {
+		if r.tags.Len() != b.Len {
+			r.tags.Fill(r.tag, b.Len)
+		}
+		r.cols = append(append(r.cols[:0], b.Cols...), r.tags)
+		b.Cols = r.cols
+		return nil
+	}
+	r.arena, r.rows = r.arena[:0], r.rows[:0]
+	for _, row := range b.Rows[:b.Len] {
+		off := len(r.arena)
+		r.arena = append(append(r.arena, row...), r.tag)
+		r.rows = append(r.rows, r.arena[off:len(r.arena):len(r.arena)])
+	}
+	b.Rows = r.rows
+	return nil
 }
 
 func (r *taggedReader) Close() error { return r.inner.Close() }

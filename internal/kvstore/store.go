@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path"
+	"strings"
 	"sync"
 
 	"dualtable/internal/dfs"
@@ -71,8 +72,12 @@ func openStore(fs *dfs.FileSystem, dir string, cfg StoreConfig) (*store, error) 
 	if err != nil {
 		return nil, err
 	}
+	var sealed []string
 	for _, fi := range infos {
-		if fi.Name == "wal" {
+		if strings.HasPrefix(fi.Name, "wal") {
+			if fi.Name != "wal" {
+				sealed = append(sealed, fi.Path)
+			}
 			continue
 		}
 		st, err := openSSTable(fs, fi.Path, nil)
@@ -86,7 +91,7 @@ func openStore(fs *dfs.FileSystem, dir string, cfg StoreConfig) (*store, error) 
 	}
 	sortFilesBySeqDesc(s.files)
 	if !cfg.DisableWAL {
-		w, recovered, err := openWAL(fs, path.Join(dir, "wal"))
+		w, recovered, err := openWAL(fs, path.Join(dir, "wal"), sealed...)
 		if err != nil {
 			return nil, err
 		}
@@ -107,42 +112,56 @@ func sortFilesBySeqDesc(files []*ssTable) {
 }
 
 // put applies a batch of cells: WAL first, then memtable; flushes when
-// the memtable exceeds its threshold.
+// the memtable exceeds its threshold. The log append and the memtable
+// insert run under the shared lock, so flush's memtable swap (under
+// the exclusive lock) falls wholly before or after them: a put's cells
+// land in the memtable whose log records they joined.
 func (s *store) put(cells []*Cell, m *sim.Meter) error {
-	s.mu.Lock()
+	s.mu.RLock()
 	if s.closed {
-		s.mu.Unlock()
+		s.mu.RUnlock()
 		return fmt.Errorf("kvstore: store %s is closed", s.dir)
 	}
-	w := s.wal
-	s.mu.Unlock()
-	if w != nil {
-		if err := w.Append(cells); err != nil {
+	if s.wal != nil {
+		if err := s.wal.Append(cells); err != nil {
+			s.mu.RUnlock()
 			return err
 		}
 	}
-	var bytesIn int64
+	mem := s.mem
 	for _, c := range cells {
-		s.mem.Insert(c.Clone())
-		bytesIn += int64(c.Size())
+		mem.Insert(c.Clone())
 		m.KVPut(int64(c.Size()))
 	}
-	if s.mem.SizeBytes() >= s.cfg.FlushThresholdBytes {
+	s.mu.RUnlock()
+	if mem.SizeBytes() >= s.cfg.FlushThresholdBytes {
 		return s.flush(m)
 	}
 	return nil
 }
 
-// flush writes the memtable to a new store file and truncates the WAL.
+// flush writes the memtable to a new store file. The swap seals the
+// live log under a name of its own, holding exactly the swapped
+// memtable's puts, and starts a fresh log for later puts; the sealed
+// log is deleted once the store file is in place. Every acknowledged
+// put is therefore in a store file or in a log at all times.
 func (s *store) flush(m *sim.Meter) error {
 	s.mu.Lock()
 	if s.mem.Count() == 0 {
 		s.mu.Unlock()
 		return nil
 	}
+	seq := s.nextSeq
+	var sealed string
+	if s.wal != nil {
+		sealed = path.Join(s.dir, fmt.Sprintf("wal-%06d", seq))
+		if err := s.wal.seal(sealed); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+	}
 	old := s.mem
 	s.mem = newSkiplist()
-	seq := s.nextSeq
 	s.nextSeq++
 	s.mu.Unlock()
 
@@ -157,12 +176,13 @@ func (s *store) flush(m *sim.Meter) error {
 		return err
 	}
 	s.mu.Lock()
+	// Concurrent flushes may finish out of order: keep newest first.
 	s.files = append([]*ssTable{st}, s.files...)
-	w := s.wal
+	sortFilesBySeqDesc(s.files)
 	n := len(s.files)
 	s.mu.Unlock()
-	if w != nil {
-		if err := w.Truncate(); err != nil {
+	if sealed != "" {
+		if err := s.fs.Delete(sealed, false); err != nil {
 			return err
 		}
 	}

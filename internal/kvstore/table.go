@@ -316,20 +316,25 @@ func (sc *Scanner) Next() (*Cell, bool) {
 		if ok {
 			return c, true
 		}
-		if err := sc.cur.Err(); err != nil && sc.err == nil {
-			sc.err = err
-		}
-		sc.cur.Close()
-		sc.cur = nil
+		sc.closeRegion()
 		sc.regIdx++
 	}
+}
+
+// closeRegion closes the current region's iterator, keeping the first
+// error: a store file read that failed mid-scan surfaces only when its
+// iterator closes.
+func (sc *Scanner) closeRegion() {
+	if err := sc.cur.Close(); err != nil && sc.err == nil {
+		sc.err = err
+	}
+	sc.cur = nil
 }
 
 // Close releases the scanner.
 func (sc *Scanner) Close() error {
 	if sc.cur != nil {
-		sc.cur.Close()
-		sc.cur = nil
+		sc.closeRegion()
 	}
 	sc.regIdx = len(sc.regions)
 	return sc.err
@@ -398,6 +403,11 @@ func (rs *RowScanner) Next() (RowResult, bool) {
 		res.Cells = append(res.Cells, c.Clone())
 	}
 }
+
+// Err returns the scan error that ended the stream early, if any.
+// Next reports only the end of the stream, so a caller checks Err once
+// Next returns false: without it a failed scan reads as a short one.
+func (rs *RowScanner) Err() error { return rs.sc.Err() }
 
 // Close releases the scanner.
 func (rs *RowScanner) Close() error {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"dualtable/internal/dfs"
 )
@@ -17,27 +18,37 @@ import (
 //
 // Replay tolerates a truncated or corrupt tail (the batch being
 // written during a crash) by stopping at the first bad record.
+//
+// mu serializes appends with each other and with seal, so no append
+// ever runs against a log being sealed.
 type wal struct {
 	fs   *dfs.FileSystem
 	path string
+	mu   sync.Mutex
 	w    *dfs.FileWriter
 }
 
-func openWAL(fs *dfs.FileSystem, path string) (*wal, []Cell, error) {
+// openWAL replays the sealed logs and then the live log at path,
+// deletes them, and starts a fresh live log that re-logs the recovered
+// cells.
+func openWAL(fs *dfs.FileSystem, path string, sealed ...string) (*wal, []Cell, error) {
 	var recovered []Cell
-	if fs.Exists(path) {
+	for _, p := range append(sealed, path) {
+		if !fs.Exists(p) {
+			continue
+		}
 		// The previous owner may have died without closing the log;
 		// reclaim it the way HBase reclaims a dead region server's
 		// HLog via HDFS lease recovery.
-		if err := fs.RecoverLease(path); err != nil {
-			return nil, nil, fmt.Errorf("kvstore: recover wal lease %s: %w", path, err)
+		if err := fs.RecoverLease(p); err != nil {
+			return nil, nil, fmt.Errorf("kvstore: recover wal lease %s: %w", p, err)
 		}
-		data, err := fs.ReadFile(path)
+		data, err := fs.ReadFile(p)
 		if err != nil {
-			return nil, nil, fmt.Errorf("kvstore: read wal %s: %w", path, err)
+			return nil, nil, fmt.Errorf("kvstore: read wal %s: %w", p, err)
 		}
-		recovered = replayWAL(data)
-		if err := fs.Delete(path, false); err != nil {
+		recovered = append(recovered, replayWAL(data)...)
+		if err := fs.Delete(p, false); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -106,6 +117,8 @@ func replayWAL(data []byte) []Cell {
 
 // Append durably logs one batch of cells.
 func (l *wal) Append(cells []*Cell) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	payload := binary.AppendUvarint(nil, uint64(len(cells)))
 	for _, c := range cells {
 		payload = appendCell(payload, c)
@@ -117,12 +130,15 @@ func (l *wal) Append(cells []*Cell) error {
 	return err
 }
 
-// Truncate discards the log after a successful memtable flush.
-func (l *wal) Truncate() error {
+// seal closes the live log, renames it to sealedPath and starts an
+// empty live log in its place.
+func (l *wal) seal(sealedPath string) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err := l.w.Close(); err != nil {
 		return err
 	}
-	if err := l.fs.Delete(l.path, false); err != nil {
+	if err := l.fs.Rename(l.path, sealedPath); err != nil {
 		return err
 	}
 	w, err := l.fs.Create(l.path)
@@ -134,4 +150,8 @@ func (l *wal) Truncate() error {
 }
 
 // Close closes the log file.
-func (l *wal) Close() error { return l.w.Close() }
+func (l *wal) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Close()
+}

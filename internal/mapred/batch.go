@@ -12,13 +12,14 @@ import (
 //     path storage readers produce for untouched data.
 //   - Row: Rows holds materialized rows (len Len) and IDs, when
 //     non-nil, holds each row's record ID (BaseID + index otherwise).
-//     Readers fall back to this shape when per-row work was already
-//     necessary (e.g. a UNION READ merge that dropped deleted rows),
-//     and row-only readers arrive as one-row batches of this shape.
+//     Readers produce this shape when their source is row-shaped (the
+//     key-value store, in-memory slices) or when per-row work was
+//     already necessary (e.g. a UNION READ merge that dropped deleted
+//     rows).
 //
 // Exactly one of Cols/Rows is non-nil. Batches and everything they
 // reference are reused by the reader between NextBatch calls; mappers
-// must not retain them (the same contract as row readers' row reuse).
+// must not retain them.
 type RecordBatch struct {
 	Len    int
 	Cols   []datum.ColumnVector
@@ -74,50 +75,11 @@ func (b *RecordBatch) EachRow(emit Emitter, fn MapFunc) error {
 	return nil
 }
 
-// BatchRecordReader is a RecordReader that can also deliver its
-// records in batches. The engine drives whichever shape it prefers but
-// never mixes the two on one reader.
-type BatchRecordReader interface {
-	RecordReader
-	// NextBatch fills b with the next records; io.EOF ends the stream.
-	// The reader owns b's contents until the next call.
-	NextBatch(b *RecordBatch) error
-}
-
-// rowBatchReader adapts a row-only reader (or any reader when
-// Cluster.DisableBatchScan is set) to the batch loop: each Next
-// becomes a zero-copy one-row Rows batch carrying the record's ID.
-type rowBatchReader struct {
-	RecordReader
-	row [1]datum.Row
-	id  [1]uint64
-}
-
-func (r *rowBatchReader) NextBatch(b *RecordBatch) error {
-	row, meta, err := r.Next()
-	if err != nil {
-		return err
-	}
-	r.row[0], r.id[0] = row, meta.RecordID
-	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = 1, nil, r.row[:], 0, r.id[:]
-	return nil
-}
-
-// batchReader returns the batch form the map loop drives: the reader
-// itself when it batches natively and batching is enabled, otherwise
-// the one-row adapter over its Next.
-func batchReader(rr RecordReader, disableBatch bool) BatchRecordReader {
-	if br, ok := rr.(BatchRecordReader); ok && !disableBatch {
-		return br
-	}
-	return &rowBatchReader{RecordReader: rr}
-}
-
 // runBatchLoop drives a map task: every batch goes to the mapper's
 // MapBatch. Cancellation is checked before the first batch and then
-// whenever the record count crosses a multiple of 128 — per batch for
-// vectorized readers, every 128 records for one-row batches.
-func runBatchLoop(ctx ctxDone, br BatchRecordReader, mapper Mapper, emit Emitter, inRecords *int64) error {
+// whenever the record count crosses a multiple of 128 — once per batch
+// for batches of 128 records or more.
+func runBatchLoop(ctx ctxDone, rr RecordReader, mapper Mapper, emit Emitter, inRecords *int64) error {
 	var batch RecordBatch
 	checked := int64(-1)
 	for {
@@ -127,7 +89,7 @@ func runBatchLoop(ctx ctxDone, br BatchRecordReader, mapper Mapper, emit Emitter
 				return err
 			}
 		}
-		if err := br.NextBatch(&batch); err != nil {
+		if err := rr.NextBatch(&batch); err != nil {
 			if isEOF(err) {
 				return nil
 			}

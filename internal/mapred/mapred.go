@@ -9,17 +9,14 @@
 //
 // # Batched input
 //
-// Every map task runs one loop over RecordBatch values, and every
-// Mapper consumes whole batches through MapBatch. Readers that
-// implement BatchRecordReader deliver column vectors for untouched
-// data and materialized rows where they already paid per-row work;
-// row-only readers are adapted into zero-copy one-row batches.
-// Row-at-a-time mappers (MapFunc and the side-effect mappers built on
-// it) walk each batch with RecordBatch.EachRow, which materializes
-// columnar rows into one reused buffer. Cluster.DisableBatchScan makes
-// every reader go through the one-row adapter, its row-at-a-time
-// Next: the reference the equivalence suites compare the vectorized
-// readers against (identical output, counters and metering).
+// Every RecordReader delivers batches, and every map task runs one
+// loop handing them to the Mapper's MapBatch. Columnar readers (ORC,
+// UNION READ) deliver column vectors for untouched data and
+// materialized rows where they already paid per-row work; row-shaped
+// sources (the key-value store, in-memory slices) deliver batches of
+// rows. Row-at-a-time mappers (MapFunc and the side-effect mappers
+// built on it) walk each batch with RecordBatch.EachRow, which
+// materializes columnar rows into one reused buffer.
 //
 // # Shuffle
 //
@@ -79,12 +76,13 @@ type RecordMeta struct {
 	RecordID uint64
 }
 
-// RecordReader streams the rows of one split. The returned row may be
-// reused between Next calls; see the package ownership contract.
+// RecordReader streams the records of one split in batches.
 type RecordReader interface {
-	// Next returns the next row, or an error; io.EOF ends the stream.
-	Next() (datum.Row, RecordMeta, error)
-	// Close releases resources.
+	// NextBatch fills b with the next records; io.EOF (or EOF) ends
+	// the stream. The reader owns b's contents until the next call.
+	NextBatch(b *RecordBatch) error
+	// Close releases resources. A reader that hit an error it could
+	// only report late (a deferred storage scan error) returns it here.
 	Close() error
 }
 
@@ -146,12 +144,6 @@ type OutputFactory interface {
 type Cluster struct {
 	Params      sim.CostParams
 	Parallelism int // concurrent tasks (real goroutines); 0 = NumCPU
-	// DisableBatchScan reads every split row at a time through its
-	// RecordReader's Next, even when the reader implements
-	// BatchRecordReader. Both produce byte-identical results, counters
-	// and simulated seconds (the equivalence tests assert it); the
-	// toggle exists for those tests and for isolating regressions.
-	DisableBatchScan bool
 }
 
 // NewCluster builds a Cluster for the given cost parameters.
@@ -338,12 +330,16 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 }
 
 func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *sim.Meter, numReducers int, mapOnly bool,
-	outFactory OutputFactory, out *mapTaskOutput, cnt *Counters, mu *sync.Mutex) error {
+	outFactory OutputFactory, out *mapTaskOutput, cnt *Counters, mu *sync.Mutex) (err error) {
 	rr, err := job.Splits[taskID].Open(meter)
 	if err != nil {
 		return fmt.Errorf("mapred: open split %d: %w", taskID, err)
 	}
-	defer rr.Close()
+	defer func() {
+		if cerr := rr.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("mapred: close split %d: %w", taskID, cerr)
+		}
+	}()
 	mapper := job.NewMapper()
 	if ma, ok := mapper.(MeterAware); ok {
 		ma.SetMeter(meter)
@@ -374,7 +370,7 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 		}
 	}
 
-	if err := runBatchLoop(ctx, batchReader(rr, c.DisableBatchScan), mapper, emit, &inRecords); err != nil {
+	if err := runBatchLoop(ctx, rr, mapper, emit, &inRecords); err != nil {
 		return fmt.Errorf("mapred: map task %d: %w", taskID, err)
 	}
 	if err := mapper.Flush(emit); err != nil {
@@ -644,20 +640,26 @@ func (s *SliceSplit) Open(m *sim.Meter) (RecordReader, error) {
 // Length returns the simulated size.
 func (s *SliceSplit) Length() int64 { return s.SimSize }
 
+// RowBatchRows caps the Rows batches of readers over row-shaped
+// sources (slices, the key-value store) at the columnar readers'
+// batch size.
+const RowBatchRows = 1024
+
+// sliceReader serves the slice as zero-copy Rows batches.
 type sliceReader struct {
 	rows []datum.Row
 	base uint64
 	idx  int
 }
 
-func (r *sliceReader) Next() (datum.Row, RecordMeta, error) {
+func (r *sliceReader) NextBatch(b *RecordBatch) error {
 	if r.idx >= len(r.rows) {
-		return nil, RecordMeta{}, EOF
+		return EOF
 	}
-	row := r.rows[r.idx]
-	meta := RecordMeta{RecordID: r.base + uint64(r.idx)}
-	r.idx++
-	return row, meta, nil
+	n := min(RowBatchRows, len(r.rows)-r.idx)
+	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = n, nil, r.rows[r.idx:r.idx+n], r.base+uint64(r.idx), nil
+	r.idx += n
+	return nil
 }
 
 func (r *sliceReader) Close() error { return nil }

@@ -13,15 +13,12 @@ import (
 const DefaultBatchRows = 1024
 
 // BatchReader decodes a file stripe-by-stripe into typed column
-// vectors, the vectorized counterpart of RowReader. A batch never
-// spans a stripe boundary, so the rows of one batch always carry
-// consecutive file ordinals starting at the batch's base ordinal —
-// the property DualTable's UNION READ fast path uses to classify a
-// whole batch against the attached table with two comparisons.
-//
-// Batch and row readers share the stripe cursors and therefore decode
-// byte-identical values; pruned stripes advance the ordinal exactly
-// like RowReader.
+// vectors. A batch never spans a stripe boundary, so the rows of one
+// batch always carry consecutive file ordinals starting at the batch's
+// base ordinal — the property DualTable's UNION READ fast path uses to
+// classify a whole batch against the attached table with two
+// comparisons. Stripes pruned by the search argument still advance the
+// ordinal.
 type BatchReader struct {
 	rd        *Reader
 	opts      RowReaderOptions
@@ -40,8 +37,7 @@ type BatchReader struct {
 	bools   []bool
 }
 
-// NewBatchReader starts a vectorized scan with the same options as
-// NewRowReader.
+// NewBatchReader starts a vectorized scan.
 func (rd *Reader) NewBatchReader(opts RowReaderOptions) *BatchReader {
 	br := &BatchReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema))}
 	if opts.Columns == nil {
@@ -61,8 +57,8 @@ func (rd *Reader) NewBatchReader(opts RowReaderOptions) *BatchReader {
 // NextBatch decodes up to max rows (DefaultBatchRows when max <= 0)
 // into cols, which must have one vector per schema column.
 // Unprojected columns become all-NULL vectors, keeping column indexes
-// stable like the row reader. It returns the number of rows decoded
-// and the file ordinal of the batch's first row; io.EOF ends the scan.
+// stable. It returns the number of rows decoded and the file ordinal
+// of the batch's first row; io.EOF ends the scan.
 func (br *BatchReader) NextBatch(cols []datum.ColumnVector, max int) (int, int64, error) {
 	if len(cols) != len(br.rd.schema) {
 		return 0, 0, fmt.Errorf("orcfile: batch arity %d, schema arity %d", len(cols), len(br.rd.schema))
@@ -189,7 +185,7 @@ func (br *BatchReader) fillVector(v *datum.ColumnVector, cur *columnCursor, n in
 
 // fillStrings decodes n string slots: dictionary indexes map to shared
 // dict entries (no per-value allocation); direct mode slices the blob
-// and converts, exactly the bytes the row reader would produce.
+// and converts.
 func (br *BatchReader) fillStrings(v *datum.ColumnVector, cur *columnCursor, present []bool, nonNull int) error {
 	vals := br.scratchInts(nonNull)
 	if cur.dict != nil {

@@ -2,7 +2,7 @@ package orcfile
 
 import (
 	"bytes"
-	"io"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,8 +12,8 @@ import (
 // genRows builds a mixed-kind table with NULLs, runs, deltas, and both
 // string encodings (low-cardinality column → dictionary, unique
 // column → direct).
-func genRows(t *testing.T, n int, seed int64) (datum.Schema, []datum.Row) {
-	t.Helper()
+func genRows(tb testing.TB, n int, seed int64) (datum.Schema, []datum.Row) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	schema := datum.Schema{
 		{Name: "id", Kind: datum.KindInt},       // delta runs
@@ -75,9 +75,48 @@ func writeBatchFile(t *testing.T, schema datum.Schema, rows []datum.Row, opts Wr
 	return rd
 }
 
-// TestBatchRowEquivalence checks that the batch reader reproduces the
-// row reader exactly — values, NULLs, ordinals — across compression,
-// stripe sizes, batch sizes and projections.
+// projectRows is what a scan with projection proj must return for
+// rows: the projected columns as written, every other column NULL.
+func projectRows(rows []datum.Row, proj []int) []datum.Row {
+	if proj == nil {
+		return rows
+	}
+	out := make([]datum.Row, len(rows))
+	for i, r := range rows {
+		out[i] = make(datum.Row, len(r))
+		for c := range out[i] {
+			out[i][c] = datum.Null
+		}
+		for _, c := range proj {
+			out[i][c] = r[c]
+		}
+	}
+	return out
+}
+
+// assertRows compares scanned rows and ordinals with the rows handed
+// to the writer (want) and their ordinals (from firstOrd on): values,
+// kinds and NULLs must match exactly.
+func assertRows(t *testing.T, label string, got []datum.Row, ords []int64, want []datum.Row, firstOrd int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if ords[i] != firstOrd+int64(i) {
+			t.Fatalf("%s: row %d ordinal %d, want %d", label, i, ords[i], firstOrd+int64(i))
+		}
+		for c := range want[i] {
+			if g, w := got[i][c], want[i][c]; datum.Compare(g, w) != 0 || g.K != w.K {
+				t.Fatalf("%s: row %d col %d: %v, want %v", label, i, c, g, w)
+			}
+		}
+	}
+}
+
+// TestBatchRowEquivalence checks that the batch reader returns exactly
+// the rows handed to the writer — values, NULLs, ordinals — across
+// compression, stripe sizes, batch sizes and projections.
 func TestBatchRowEquivalence(t *testing.T) {
 	schema, rows := genRows(t, 3777, 1)
 	cases := []struct {
@@ -94,89 +133,29 @@ func TestBatchRowEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		rd := writeBatchFile(t, schema, rows, tc.opts)
 		for _, proj := range projections {
+			want := projectRows(rows, proj)
 			for _, bs := range batchSizes {
-				opts := RowReaderOptions{Columns: proj}
-				rr := rd.NewRowReader(opts)
-				br := rd.NewBatchReader(opts)
-				cols := make([]datum.ColumnVector, len(schema))
-				var batchOrd int64
-				var inBatch, batchLen int
-				for {
-					wantRow, wantOrd, rerr := rr.Next()
-					for inBatch >= batchLen {
-						n, base, berr := br.NextBatch(cols, bs)
-						if berr == io.EOF {
-							batchLen = -1
-							break
-						}
-						if berr != nil {
-							t.Fatalf("%s proj=%v bs=%d: %v", tc.name, proj, bs, berr)
-						}
-						batchOrd, inBatch, batchLen = base, 0, n
-					}
-					if rerr == io.EOF {
-						if batchLen != -1 {
-							t.Fatalf("%s proj=%v bs=%d: batch reader has extra rows", tc.name, proj, bs)
-						}
-						break
-					}
-					if rerr != nil {
-						t.Fatal(rerr)
-					}
-					if batchLen == -1 {
-						t.Fatalf("%s proj=%v bs=%d: batch reader ended early at ord %d", tc.name, proj, bs, wantOrd)
-					}
-					gotOrd := batchOrd + int64(inBatch)
-					if gotOrd != wantOrd {
-						t.Fatalf("%s proj=%v bs=%d: ordinal %d != %d", tc.name, proj, bs, gotOrd, wantOrd)
-					}
-					for c := range schema {
-						got := cols[c].Datum(inBatch)
-						if datum.Compare(got, wantRow[c]) != 0 || got.K != wantRow[c].K {
-							t.Fatalf("%s proj=%v bs=%d row %d col %d: %v != %v",
-								tc.name, proj, bs, wantOrd, c, got, wantRow[c])
-						}
-					}
-					inBatch++
+				got, ords, err := scanAll(rd, RowReaderOptions{Columns: proj}, bs)
+				label := fmt.Sprintf("%s proj=%v bs=%d", tc.name, proj, bs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				assertRows(t, label, got, ords, want, 0)
 			}
 		}
 	}
 }
 
-// TestBatchReaderPruning checks that pruned stripes advance ordinals
-// identically on both readers.
+// TestBatchReaderPruning checks that pruned stripes still advance the
+// ordinals: the surviving rows carry their file row numbers.
 func TestBatchReaderPruning(t *testing.T) {
 	schema, rows := genRows(t, 3000, 2)
 	rd := writeBatchFile(t, schema, rows, WriterOptions{StripeRows: 500})
 	sarg := &SearchArg{Predicates: []Predicate{{Column: 0, Op: OpGE, Value: datum.Int(2200)}}}
-	opts := RowReaderOptions{SearchArg: sarg}
-	rr := rd.NewRowReader(opts)
-	br := rd.NewBatchReader(opts)
-	var rowOrds, batchOrds []int64
-	for {
-		_, ord, err := rr.Next()
-		if err != nil {
-			break
-		}
-		rowOrds = append(rowOrds, ord)
+	got, ords, err := scanAll(rd, RowReaderOptions{SearchArg: sarg}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cols := make([]datum.ColumnVector, len(schema))
-	for {
-		n, base, err := br.NextBatch(cols, 0)
-		if err != nil {
-			break
-		}
-		for i := 0; i < n; i++ {
-			batchOrds = append(batchOrds, base+int64(i))
-		}
-	}
-	if len(rowOrds) == 0 || len(rowOrds) != len(batchOrds) {
-		t.Fatalf("ordinal count mismatch: %d vs %d", len(rowOrds), len(batchOrds))
-	}
-	for i := range rowOrds {
-		if rowOrds[i] != batchOrds[i] {
-			t.Fatalf("ordinal %d: %d != %d", i, rowOrds[i], batchOrds[i])
-		}
-	}
+	// Stripes hold ids [500k, 500k+499]; id >= 2200 keeps stripes 4 and 5.
+	assertRows(t, "pruned", got, ords, rows[2000:], 2000)
 }

@@ -30,16 +30,14 @@ func TestIntRLERoundtrip(t *testing.T) {
 		}
 		enc := e.Finish()
 		d := newIntDecoder(enc)
-		for i, want := range vals {
-			got, err := d.Next()
-			if err != nil {
-				t.Fatalf("%v: decode %d: %v", vals, i, err)
-			}
-			if got != want {
-				t.Fatalf("%v: index %d: got %d want %d", vals, i, got, want)
-			}
+		got := make([]int64, len(vals))
+		if err := d.Fill(got); err != nil {
+			t.Fatalf("%v: decode: %v", vals, err)
 		}
-		if _, err := d.Next(); err == nil {
+		if !reflect.DeepEqual(got, vals) {
+			t.Fatalf("%v: decoded %v", vals, got)
+		}
+		if err := d.Fill(make([]int64, 1)); err == nil {
 			t.Errorf("%v: decoder should be exhausted", vals)
 		}
 	}
@@ -86,14 +84,21 @@ func TestPropertyIntRLE(t *testing.T) {
 			e.Append(v)
 		}
 		d := newIntDecoder(e.Finish())
-		for _, want := range vals {
-			got, err := d.Next()
-			if err != nil || got != want {
+		// Decode in uneven chunks so group boundaries fall mid-call.
+		got := make([]int64, len(vals))
+		for off := 0; off < len(got); {
+			end := min(off+1+rng.Intn(300), len(got))
+			if err := d.Fill(got[off:end]); err != nil {
+				return false
+			}
+			off = end
+		}
+		for i := range vals {
+			if got[i] != vals[i] {
 				return false
 			}
 		}
-		_, err := d.Next()
-		return err != nil
+		return d.Fill(make([]int64, 1)) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -107,11 +112,18 @@ func TestBitPackRoundtrip(t *testing.T) {
 		w.Append(v)
 	}
 	r := newBitReader(w.Finish())
-	for i, want := range vals {
-		got, err := r.Next()
-		if err != nil || got != want {
-			t.Fatalf("bit %d: %v %v", i, got, err)
-		}
+	got := make([]bool, len(vals))
+	if err := r.Fill(got[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Fill(got[3:]); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, vals) {
+		t.Fatalf("bits %v, want %v", got, vals)
+	}
+	if err := r.Fill(make([]bool, 7)); err == nil {
+		t.Error("bit reader should be exhausted")
 	}
 }
 
@@ -167,21 +179,37 @@ func readAll(t *testing.T, data []byte, opts RowReaderOptions) ([]datum.Row, []i
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := rd.NewRowReader(opts)
+	rows, ords, err := scanAll(rd, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, ords
+}
+
+// scanAll reads a file through a batch reader, batchRows rows at a
+// time at most, and returns its rows and their ordinals.
+func scanAll(rd *Reader, opts RowReaderOptions, batchRows int) ([]datum.Row, []int64, error) {
+	br := rd.NewBatchReader(opts)
+	cols := make([]datum.ColumnVector, len(rd.Schema()))
 	var rows []datum.Row
 	var ords []int64
 	for {
-		row, ord, err := rr.Next()
+		n, base, err := br.NextBatch(cols, batchRows)
 		if err == io.EOF {
-			break
+			return rows, ords, nil
 		}
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
-		rows = append(rows, row.Clone())
-		ords = append(ords, ord)
+		for i := 0; i < n; i++ {
+			row := make(datum.Row, len(cols))
+			for c := range cols {
+				row[c] = cols[c].Datum(i)
+			}
+			rows = append(rows, row)
+			ords = append(ords, base+int64(i))
+		}
 	}
-	return rows, ords
 }
 
 func TestWriteReadRoundtrip(t *testing.T) {
@@ -359,27 +387,14 @@ func TestAllNullColumn(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := rd.NewRowReader(RowReaderOptions{})
-	n := 0
-	for {
-		row, _, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	all, _ := readAll(t, buf.Bytes(), RowReaderOptions{})
+	for _, row := range all {
 		if !row[0].IsNull() {
 			t.Fatalf("expected NULL, got %v", row[0])
 		}
-		n++
 	}
-	if n != 25 {
-		t.Errorf("read %d rows", n)
+	if len(all) != 25 {
+		t.Errorf("read %d rows", len(all))
 	}
 	// An equality predicate on the all-null column prunes everything.
 	sa := &SearchArg{Predicates: []Predicate{{Column: 0, Op: OpEQ, Value: datum.String_("x")}}}
@@ -419,18 +434,13 @@ func TestDictionaryEncodingChosen(t *testing.T) {
 			w.WriteRow(datum.Row{datum.String_(s)})
 		}
 		w.Close()
-		rd, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-		if err != nil {
-			t.Fatal(err)
+		got, _ := readAll(t, buf.Bytes(), RowReaderOptions{})
+		if len(got) != len(want) {
+			t.Fatalf("card %d: %d rows, want %d", card, len(got), len(want))
 		}
-		rr := rd.NewRowReader(RowReaderOptions{})
 		for i, wantS := range want {
-			row, _, err := rr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if row[0].S != wantS {
-				t.Fatalf("card %d row %d: %q vs %q", card, i, row[0].S, wantS)
+			if got[i][0].S != wantS {
+				t.Fatalf("card %d row %d: %q vs %q", card, i, got[i][0].S, wantS)
 			}
 		}
 	}
@@ -476,9 +486,9 @@ func TestEmptyFileRoundtrip(t *testing.T) {
 	if rd.NumRows() != 0 || rd.NumStripes() != 0 {
 		t.Errorf("empty file: rows=%d stripes=%d", rd.NumRows(), rd.NumStripes())
 	}
-	rr := rd.NewRowReader(RowReaderOptions{})
-	if _, _, err := rr.Next(); err != io.EOF {
-		t.Errorf("Next on empty = %v", err)
+	cols := make([]datum.ColumnVector, len(rd.Schema()))
+	if _, _, err := rd.NewBatchReader(RowReaderOptions{}).NextBatch(cols, 0); err != io.EOF {
+		t.Errorf("NextBatch on empty = %v", err)
 	}
 }
 
@@ -540,15 +550,16 @@ func TestPropertyFileRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rr := rd.NewRowReader(RowReaderOptions{})
+		got, ords, err := scanAll(rd, RowReaderOptions{}, 0)
+		if err != nil || len(got) != len(qr.rows) {
+			return false
+		}
 		for i, want := range qr.rows {
-			row, ord, err := rr.Next()
-			if err != nil || ord != int64(i) || !row.Equal(want) {
+			if ords[i] != int64(i) || !got[i].Equal(want) {
 				return false
 			}
 		}
-		_, _, err = rr.Next()
-		return err == io.EOF
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

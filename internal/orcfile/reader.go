@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"dualtable/internal/datum"
 )
+
+// ErrCorrupt reports a file whose structure contradicts itself: a
+// length, count or offset that points past the bytes present.
+var ErrCorrupt = errors.New("orcfile: corrupt file")
 
 // Reader reads an ORC-like file from any io.ReaderAt.
 type Reader struct {
@@ -37,8 +42,8 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	footerOff := binary.LittleEndian.Uint64(tail[0:])
 	footerLen := binary.LittleEndian.Uint64(tail[8:])
 	flags := binary.LittleEndian.Uint64(tail[16:])
-	if int64(footerOff+footerLen) > size-tailSize {
-		return nil, fmt.Errorf("orcfile: footer out of bounds")
+	if body := uint64(size - tailSize); footerOff > body || footerLen > body-footerOff {
+		return nil, fmt.Errorf("%w: footer out of bounds", ErrCorrupt)
 	}
 	fb := make([]byte, footerLen)
 	if _, err := r.ReadAt(fb, int64(footerOff)); err != nil {
@@ -83,6 +88,9 @@ func (rd *Reader) parseFooter(fb []byte) error {
 		return fmt.Errorf("orcfile: bad meta count")
 	}
 	off += c
+	if nmeta > uint64(len(fb)-off) { // every entry takes at least two bytes
+		return fmt.Errorf("%w: meta count %d exceeds footer size", ErrCorrupt, nmeta)
+	}
 	rd.userMeta = make(map[string]string, nmeta)
 	for i := uint64(0); i < nmeta; i++ {
 		k, n, err := readBytesVal(fb, off)
@@ -175,29 +183,15 @@ func (rd *Reader) FileStats() []ColumnStats { return rd.fileStats }
 // StripeRows returns the row count of stripe i.
 func (rd *Reader) StripeRows(i int) int64 { return rd.stripes[i].rows }
 
-// RowReaderOptions configures a row scan.
+// RowReaderOptions configures a scan.
 type RowReaderOptions struct {
-	// Columns projects a subset of columns by index (nil = all). The
-	// returned rows still have full schema arity; unprojected columns
-	// are NULL — this keeps column indexes stable for the engine.
+	// Columns projects a subset of columns by index (nil = all). A
+	// batch still has one vector per schema column; unprojected
+	// columns are all NULL — this keeps column indexes stable for the
+	// engine.
 	Columns []int
 	// SearchArg prunes stripes by statistics.
 	SearchArg *SearchArg
-}
-
-// RowReader iterates the rows of a file in order, reporting each
-// row's ordinal (the ORC row number DualTable uses in record IDs —
-// pruned stripes still advance the ordinal).
-type RowReader struct {
-	rd         *Reader
-	opts       RowReaderOptions
-	project    []bool
-	stripeIdx  int
-	cols       []*columnCursor
-	inStripe   int64
-	stripeLen  int64
-	rowOrdinal int64
-	row        datum.Row
 }
 
 // columnCursor decodes one column of the current stripe.
@@ -215,74 +209,9 @@ type columnCursor struct {
 	blobOff int
 }
 
-// NewRowReader starts a scan.
-func (rd *Reader) NewRowReader(opts RowReaderOptions) *RowReader {
-	rr := &RowReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema))}
-	if opts.Columns == nil {
-		for i := range rr.project {
-			rr.project[i] = true
-		}
-	} else {
-		for _, c := range opts.Columns {
-			if c >= 0 && c < len(rr.project) {
-				rr.project[c] = true
-			}
-		}
-	}
-	rr.row = make(datum.Row, len(rd.schema))
-	return rr
-}
-
-// Next returns the next row and its file row number. The returned row
-// is reused between calls; clone it to retain.
-func (rr *RowReader) Next() (datum.Row, int64, error) {
-	for rr.inStripe >= rr.stripeLen {
-		if rr.stripeIdx >= len(rr.rd.stripes) {
-			return nil, 0, io.EOF
-		}
-		sm := rr.rd.stripes[rr.stripeIdx]
-		if rr.opts.SearchArg != nil && !rr.opts.SearchArg.MaybeMatches(sm.stats) {
-			rr.rowOrdinal += sm.rows
-			rr.stripeIdx++
-			continue
-		}
-		if err := rr.openStripe(sm); err != nil {
-			return nil, 0, err
-		}
-		rr.stripeIdx++
-		rr.inStripe = 0
-		rr.stripeLen = sm.rows
-	}
-	ord := rr.rowOrdinal
-	for i, cur := range rr.cols {
-		if cur == nil {
-			rr.row[i] = datum.Null
-			continue
-		}
-		d, err := cur.next()
-		if err != nil {
-			return nil, 0, fmt.Errorf("orcfile: column %s row %d: %w", rr.rd.schema[i].Name, ord, err)
-		}
-		rr.row[i] = d
-	}
-	rr.inStripe++
-	rr.rowOrdinal++
-	return rr.row, ord, nil
-}
-
-// openStripe loads and decodes the projected column streams.
-func (rr *RowReader) openStripe(sm stripeMeta) error {
-	cols, err := rr.rd.openStripeCursors(sm, rr.project)
-	if err != nil {
-		return err
-	}
-	rr.cols = cols
-	return nil
-}
-
 // openStripeCursors reads and decodes the projected column streams of
-// one stripe — shared by the row and batch readers, so both charge
-// identical I/O and decode identical bytes.
+// one stripe. Stream extents come from the footer, so they are checked
+// against the file size before anything is allocated.
 func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool) ([]*columnCursor, error) {
 	cols := make([]*columnCursor, len(rd.schema))
 	for i := range rd.schema {
@@ -290,8 +219,12 @@ func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool) ([]*columnCur
 			continue
 		}
 		st := sm.streams[i]
+		start := sm.offset + st.relOff
+		if start < sm.offset || start > uint64(rd.size) || st.length > uint64(rd.size)-start {
+			return nil, fmt.Errorf("%w: column %s stream out of bounds", ErrCorrupt, rd.schema[i].Name)
+		}
 		buf := make([]byte, st.length)
-		if _, err := rd.r.ReadAt(buf, int64(sm.offset+st.relOff)); err != nil {
+		if _, err := rd.r.ReadAt(buf, int64(start)); err != nil {
 			return nil, fmt.Errorf("orcfile: read stripe stream: %w", err)
 		}
 		if rd.compressed {
@@ -316,8 +249,8 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 		return nil, fmt.Errorf("orcfile: bad presence length")
 	}
 	off := c
-	if off+int(plen) > len(buf) {
-		return nil, fmt.Errorf("orcfile: truncated presence bitmap")
+	if plen > uint64(len(buf)-off) {
+		return nil, fmt.Errorf("%w: truncated presence bitmap", ErrCorrupt)
 	}
 	cur := &columnCursor{kind: kind, presence: newBitReader(buf[off : off+int(plen)])}
 	data := buf[off+int(plen):]
@@ -343,6 +276,9 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 				return nil, fmt.Errorf("orcfile: bad dict size")
 			}
 			p := c
+			if n > uint64(len(data)-p) { // every entry takes at least one byte
+				return nil, fmt.Errorf("%w: dictionary count %d exceeds %d stream bytes", ErrCorrupt, n, len(data)-p)
+			}
 			dict := make([]string, 0, n)
 			for i := uint64(0); i < n; i++ {
 				s, np, err := readBytesVal(data, p)
@@ -357,8 +293,8 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 				return nil, fmt.Errorf("orcfile: bad dict index length")
 			}
 			p += c2
-			if p+int(il) > len(data) {
-				return nil, fmt.Errorf("orcfile: truncated dict indices")
+			if il > uint64(len(data)-p) {
+				return nil, fmt.Errorf("%w: truncated dict indices", ErrCorrupt)
 			}
 			cur.dict = dict
 			cur.indices = newIntDecoder(data[p : p+int(il)])
@@ -368,8 +304,8 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 				return nil, fmt.Errorf("orcfile: bad length-stream size")
 			}
 			p := c
-			if p+int(ll) > len(data) {
-				return nil, fmt.Errorf("orcfile: truncated length stream")
+			if ll > uint64(len(data)-p) {
+				return nil, fmt.Errorf("%w: truncated length stream", ErrCorrupt)
 			}
 			cur.lens = newIntDecoder(data[p : p+int(ll)])
 			cur.blob = data[p+int(ll):]
@@ -378,57 +314,4 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 		return nil, fmt.Errorf("orcfile: unsupported column kind %v", kind)
 	}
 	return cur, nil
-}
-
-func (cur *columnCursor) next() (datum.Datum, error) {
-	present, err := cur.presence.Next()
-	if err != nil {
-		return datum.Null, err
-	}
-	if !present {
-		return datum.Null, nil
-	}
-	switch cur.kind {
-	case datum.KindInt:
-		v, err := cur.ints.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		return datum.Int(v), nil
-	case datum.KindFloat:
-		v, err := cur.floats.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		return datum.Float(v), nil
-	case datum.KindBool:
-		v, err := cur.bools.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		return datum.Bool(v), nil
-	case datum.KindString:
-		if cur.dict != nil {
-			idx, err := cur.indices.Next()
-			if err != nil {
-				return datum.Null, err
-			}
-			if idx < 0 || int(idx) >= len(cur.dict) {
-				return datum.Null, fmt.Errorf("orcfile: dict index %d out of range", idx)
-			}
-			return datum.String_(cur.dict[idx]), nil
-		}
-		l, err := cur.lens.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		end := cur.blobOff + int(l)
-		if end > len(cur.blob) || end < cur.blobOff {
-			return datum.Null, fmt.Errorf("orcfile: string blob exhausted")
-		}
-		s := string(cur.blob[cur.blobOff:end])
-		cur.blobOff = end
-		return datum.String_(s), nil
-	}
-	return datum.Null, fmt.Errorf("orcfile: bad cursor kind")
 }

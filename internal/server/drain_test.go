@@ -85,6 +85,9 @@ func TestShutdownHardCancelsStragglers(t *testing.T) {
 		"CREATE TABLE ts (id BIGINT) STORED AS DUALTABLE; "+
 			"INSERT INTO ts VALUES (1), (2), (3), (4), (5)")
 	readResult(t, nc, 1)
+	// The exec op leaves the in-flight count only after its answer is
+	// sent; wait for that, so the count below is the query's alone.
+	waitFor(t, func() bool { return s.Stats().ActiveOps == 0 })
 
 	// Window 1, five one-row batches, no Fetch ever sent: the op wedges
 	// in flow control after the first batch.

@@ -317,11 +317,9 @@ func (m *Meter) CPURows(n int64) {
 // UnionReadRows charges the per-row merge overhead of DualTable's
 // UNION READ (the "function invocation" cost the paper measures as
 // the 8–12% empty-attached-table overhead of Fig. 4). The charge is
-// batch-granular by contract: readers accumulate a plain counter —
-// per record on the row path, += batch length on the vectorized
-// path — and flush once per task at Close, so n merged rows cost
-// n·UnionReadRowCost on either path and the simulated seconds of
-// batch and row scans stay bit-identical.
+// batch-granular by contract: readers accumulate a plain counter of
+// merged rows and flush it once per task at Close, so n merged rows
+// cost n·UnionReadRowCost however the rows were batched.
 func (m *Meter) UnionReadRows(n int64) {
 	if m == nil || m.params == nil {
 		return
