@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/dfs"
@@ -141,14 +142,9 @@ type deltaEntry struct {
 	seq int // delta ordinal: later transactions win
 }
 
-// loadDeltas reads every delta file (the merge-on-read cost Hive ACID
-// pays), charging the meter.
-func (h *Handler) loadDeltas(desc *metastore.TableDesc, m *sim.Meter) ([]deltaEntry, error) {
-	infos, err := h.e.FS.ListFiles(deltaDir(desc))
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
+// loadDeltas reads the given delta files, in transaction order (the
+// merge-on-read cost Hive ACID pays), charging the meter.
+func (h *Handler) loadDeltas(infos []dfs.FileInfo, m *sim.Meter) ([]deltaEntry, error) {
 	var out []deltaEntry
 	for seq, fi := range infos {
 		fr, err := h.e.FS.OpenMeter(fi.Path, m)
@@ -209,15 +205,22 @@ func (h *Handler) DeltaFileCount(desc *metastore.TableDesc) (int, error) {
 }
 
 // Splits returns one merge-on-read split per base file. Every split
-// re-reads all deltas — exactly the amplification §V-C describes.
+// re-reads all deltas — exactly the amplification §V-C describes. The
+// delta set is the one committed when the scan is planned: a DML job
+// never reads the deltas its own tasks are writing.
 func (h *Handler) Splits(desc *metastore.TableDesc, opts hive.ScanOptions) ([]mapred.InputSplit, error) {
 	files, err := h.baseFiles(desc)
 	if err != nil {
 		return nil, err
 	}
+	deltas, err := h.e.FS.ListFiles(deltaDir(desc))
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
 	var splits []mapred.InputSplit
 	for _, f := range files {
-		splits = append(splits, &acidSplit{h: h, desc: desc, file: f, opts: opts})
+		splits = append(splits, &acidSplit{h: h, file: f, deltas: deltas, opts: opts})
 	}
 	return splits, nil
 }
@@ -358,10 +361,10 @@ func (c *baseCollector) Close() error {
 // acidSplit merges one base file with all delta entries in its rid
 // range.
 type acidSplit struct {
-	h    *Handler
-	desc *metastore.TableDesc
-	file baseFile
-	opts hive.ScanOptions
+	h      *Handler
+	file   baseFile
+	deltas []dfs.FileInfo
+	opts   hive.ScanOptions
 }
 
 func (s *acidSplit) Length() int64 { return s.file.size }
@@ -378,7 +381,7 @@ func (s *acidSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	}
 	// Merge-on-read: every split scans every delta file (no random
 	// access, no bloom filters — the §V-C contrast with DualTable).
-	deltas, err := s.h.loadDeltas(s.desc, m)
+	deltas, err := s.h.loadDeltas(s.deltas, m)
 	if err != nil {
 		fr.Close()
 		return nil, err
@@ -476,159 +479,80 @@ func (r *acidReader) Close() error { return r.fr.Close() }
 
 // ExecUpdate writes full updated records into a fresh delta.
 func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	var err error
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-	}
-	type setCol struct {
-		idx int
-		fn  func(datum.Row) (datum.Datum, error)
-	}
-	var sets []setCol
-	for _, s := range stmt.Sets {
-		idx := desc.Schema.ColumnIndex(s.Column)
-		fn, err := e.CompileRowExpr(ec, s.Value, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-		sets = append(sets, setCol{idx: idx, fn: fn})
-	}
-	n, err := h.runDeltaJob(ec, e, desc, m, func(tm *sim.Meter, row datum.Row, rid uint64, emitDelta func(deltaEntry) error) (bool, error) {
-		if whereFn != nil {
-			ok, err := whereFn(row)
-			if err != nil {
-				return false, err
-			}
-			if !ok.Truthy() {
-				return false, nil
-			}
-		}
-		// The whole record goes into the delta, even for a one-cell
-		// change.
-		updated := row.Clone()
-		for _, s := range sets {
-			nv, err := s.fn(row)
-			if err != nil {
-				return false, err
-			}
-			nv, err = datum.Coerce(nv, desc.Schema[s.idx].Kind)
-			if err != nil {
-				return false, err
-			}
-			updated[s.idx] = nv
-		}
-		return true, emitDelta(deltaEntry{rid: rid, op: opUpsert, row: updated})
-	})
-	return n, "DELTA", err
+	return h.runDelta(ec, e, desc, stmt, opUpsert, m)
 }
 
 // ExecDelete writes delete records into a fresh delta.
 func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	var err error
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-	}
-	blank := make(datum.Row, len(desc.Schema))
-	for i := range blank {
-		blank[i] = datum.Null
-	}
-	n, err := h.runDeltaJob(ec, e, desc, m, func(tm *sim.Meter, row datum.Row, rid uint64, emitDelta func(deltaEntry) error) (bool, error) {
-		if whereFn != nil {
-			ok, err := whereFn(row)
-			if err != nil {
-				return false, err
-			}
-			if !ok.Truthy() {
-				return false, nil
-			}
-		}
-		return true, emitDelta(deltaEntry{rid: rid, op: opDelete, row: blank})
-	})
-	return n, "DELTA", err
+	return h.runDelta(ec, e, desc, stmt, opDelete, m)
 }
 
-// runDeltaJob scans the table (merge-on-read) and streams matching
+// runDelta scans the table (merge-on-read) and streams matching
 // records into one new delta file per map task, under one transaction.
-func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, m *sim.Meter,
-	visit func(tm *sim.Meter, row datum.Row, rid uint64, emitDelta func(deltaEntry) error) (bool, error)) (int64, error) {
+func (h *Handler) runDelta(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, op int64, m *sim.Meter) (int64, string, error) {
 	splits, err := h.Splits(desc, hive.ScanOptions{})
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	txn := h.allocTxn(desc)
-	dSchema := deltaSchema(desc)
-	var taskCounter int64
-	var mu sync.Mutex
-	job := &mapred.Job{
-		Name:   "acid-delta",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			// The task's delta file is created on its first entry, so
-			// tasks that match nothing leave no file behind.
-			var w *orcfile.Writer
-			var fw *dfs.FileWriter
-			writeDelta := func(tm *sim.Meter, d deltaEntry) error {
-				if w == nil {
-					mu.Lock()
-					taskCounter++
-					id := taskCounter
-					mu.Unlock()
-					name := fmt.Sprintf("delta-%06d-%04d.orc", txn, id)
-					var err error
-					if fw, err = h.e.FS.CreateMeter(path.Join(deltaDir(desc), name), tm); err != nil {
-						return err
-					}
-					if w, err = orcfile.NewWriter(fw, dSchema, orcfile.WriterOptions{Compression: true}); err != nil {
-						return err
-					}
-				}
-				out := make(datum.Row, 0, 2+len(d.row))
-				out = append(out, datum.Int(int64(d.rid)), datum.Int(d.op))
-				out = append(out, d.row...)
-				return w.WriteRow(out)
-			}
-			return &mapred.MeteredMapper{
-				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					matched, err := visit(tm, row, meta.RecordID, func(d deltaEntry) error { return writeDelta(tm, d) })
-					if err != nil || !matched {
-						return err
-					}
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				FlushFn: func(*sim.Meter, mapred.Emitter) error {
-					if w == nil {
-						return nil
-					}
-					if err := w.Close(); err != nil {
-						return err
-					}
-					return fw.Close()
-				},
-			}
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
+	var tasks atomic.Int64
+	n, err := e.RunDML(ec, desc, stmt, "acid-delta", splits, func() hive.DMLSink {
+		return &deltaSink{h: h, desc: desc, op: op, name: func() string {
+			return fmt.Sprintf("delta-%06d-%04d.orc", txn, tasks.Add(1))
+		}}
+	}, m)
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
-	m.AddSeconds(res.SimSeconds)
-	return res.Counters.OutputRecords, nil
+	return n, "DELTA", nil
+}
+
+// deltaSink writes one map task's delta records: (rid, op) and the
+// whole record, "even if only one cell is changed" (all NULL for a
+// delete). The task's delta file is created on its first record, so
+// tasks that match nothing leave no file behind.
+type deltaSink struct {
+	h    *Handler
+	desc *metastore.TableDesc
+	op   int64
+	name func() string
+	fw   *dfs.FileWriter
+	w    *orcfile.Writer
+	out  datum.Row
+}
+
+func (s *deltaSink) Apply(m *sim.Meter, row datum.Row, rid uint64, vals []hive.SetValue) (bool, error) {
+	if s.w == nil {
+		var err error
+		if s.fw, err = s.h.e.FS.CreateMeter(path.Join(deltaDir(s.desc), s.name()), m); err != nil {
+			return false, err
+		}
+		if s.w, err = orcfile.NewWriter(s.fw, deltaSchema(s.desc), orcfile.WriterOptions{Compression: true}); err != nil {
+			return false, err
+		}
+	}
+	s.out = append(s.out[:0], datum.Int(int64(rid)), datum.Int(s.op))
+	if s.op == opDelete {
+		for range s.desc.Schema {
+			s.out = append(s.out, datum.Null)
+		}
+	} else {
+		s.out = append(s.out, row...)
+		for _, v := range vals {
+			s.out[2+v.Col] = v.Val
+		}
+	}
+	return true, s.w.WriteRow(s.out)
+}
+
+func (s *deltaSink) Flush(*sim.Meter) error {
+	if s.w == nil {
+		return nil
+	}
+	if err := s.w.Close(); err != nil {
+		return err
+	}
+	return s.fw.Close()
 }
 
 // Compact implements COMPACT TABLE for ACID tables: a major

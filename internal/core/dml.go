@@ -35,8 +35,27 @@ func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 		n, err := h.runOverwriteUpdate(ec, e, desc, stmt, m)
 		return n, "OVERWRITE", err
 	}
-	n, err := h.runEditUpdate(ec, e, desc, stmt, m, w)
-	return n, "EDIT", err
+	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-update-udtf", m, func(batch []*kvstore.Cell, row datum.Row, rid uint64, vals []hive.SetValue) []*kvstore.Cell {
+		key := RecordID(rid).Key()
+		for _, v := range vals {
+			if datum.Equal(v.Val, row[v.Col]) {
+				continue // no-op write elided
+			}
+			batch = append(batch, &kvstore.Cell{
+				Row:       key,
+				Family:    attachedFamily,
+				Qualifier: []byte(strconv.Itoa(v.Col)),
+				Type:      kvstore.TypePut,
+				Value:     datum.AppendDatum(nil, v.Val),
+			})
+		}
+		return batch
+	})
+	if err != nil {
+		return 0, "", err
+	}
+	h.observeRatio(desc, stmt, nil, n, w.TableRows)
+	return n, "EDIT", nil
 }
 
 // ExecDelete implements DELETE with the same plan selection; the EDIT
@@ -64,8 +83,20 @@ func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 		m.AddSeconds(rs.SimSeconds)
 		return rs.Affected, "OVERWRITE", nil
 	}
-	n, err := h.runEditDelete(ec, e, desc, stmt, m, w)
-	return n, "EDIT", err
+	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-delete-udtf", m, func(batch []*kvstore.Cell, _ datum.Row, rid uint64, _ []hive.SetValue) []*kvstore.Cell {
+		return append(batch, &kvstore.Cell{
+			Row:       RecordID(rid).Key(),
+			Family:    attachedFamily,
+			Qualifier: []byte(deleteQualifier),
+			Type:      kvstore.TypePut,
+			Value:     []byte{1},
+		})
+	})
+	if err != nil {
+		return 0, "", err
+	}
+	h.observeRatio(desc, nil, stmt, n, w.TableRows)
+	return n, "EDIT", nil
 }
 
 // applyForce resolves plan forcing: the session's
@@ -304,10 +335,12 @@ func (h *Handler) runOverwriteUpdate(ec *hive.ExecContext, e *hive.Engine, desc 
 	return rs.Affected, nil
 }
 
-// runEditUpdate is the UPDATE UDTF: scan UNION READ splits, evaluate
-// the predicate, compute new values, and put the changed cells into
-// the attached table.
-func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter, w costmodel.Workload) (int64, error) {
+// runEdit runs an EDIT UDTF: a map-only job over UNION READ splits of
+// a pinned snapshot that evaluates the predicate and puts each
+// matching record's cells into the attached table, keyed by record ID,
+// every 1024 cells and at task end.
+func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, name string, m *sim.Meter,
+	cells func([]*kvstore.Cell, datum.Row, uint64, []hive.SetValue) []*kvstore.Cell) (int64, error) {
 	// Writers serialize against each other (and COMPACT); snapshot
 	// scans run untouched throughout.
 	st := h.state(desc.Name)
@@ -317,30 +350,6 @@ func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *meta
 	att, err := h.attached(desc)
 	if err != nil {
 		return 0, err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, err
-		}
-	}
-	type setCol struct {
-		idx int
-		fn  func(datum.Row) (datum.Datum, error)
-	}
-	sets := make([]setCol, 0, len(stmt.Sets))
-	for _, s := range stmt.Sets {
-		idx := desc.Schema.ColumnIndex(s.Column)
-		fn, err := e.CompileRowExpr(ec, s.Value, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, err
-		}
-		sets = append(sets, setCol{idx: idx, fn: fn})
 	}
 	// The UDTF scans its own pinned snapshot; its writes carry
 	// timestamps above the snapshot watermark, so the scan cannot see
@@ -356,159 +365,13 @@ func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *meta
 		return 0, err
 	}
 	defer snap.Release()
-	splits := snap.Splits(ScanOptions{})
-	job := &mapred.Job{
-		Name:   "dualtable-update-udtf",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &mapred.MeteredMapper{
-				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					key := RecordID(meta.RecordID).Key()
-					changed := false
-					for _, s := range sets {
-						nv, err := s.fn(row)
-						if err != nil {
-							return err
-						}
-						nv, err = datum.Coerce(nv, desc.Schema[s.idx].Kind)
-						if err != nil {
-							return err
-						}
-						if datum.Equal(nv, row[s.idx]) {
-							continue // no-op write elided
-						}
-						changed = true
-						batch = append(batch, &kvstore.Cell{
-							Row:       key,
-							Family:    attachedFamily,
-							Qualifier: []byte(strconv.Itoa(s.idx)),
-							Type:      kvstore.TypePut,
-							Value:     datum.AppendDatum(nil, nv),
-						})
-					}
-					if !changed {
-						return nil
-					}
-					if len(batch) >= 1024 {
-						if err := att.Put(batch, tm); err != nil {
-							return err
-						}
-						batch = batch[:0]
-					}
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				FlushFn: func(tm *sim.Meter, _ mapred.Emitter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return att.Put(batch, tm)
-				},
-			}
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
+	n, err := e.RunDML(ec, desc, stmt, name, snap.Splits(ScanOptions{}), func() hive.DMLSink {
+		return &hive.CellSink{Table: att, Limit: 1024, Cells: cells}
+	}, m)
 	if err != nil {
 		return 0, err
 	}
-	if err := h.publishWatermark(desc); err != nil {
-		return 0, err
-	}
-	m.AddSeconds(res.SimSeconds)
-	affected := res.Counters.OutputRecords
-	h.observeRatio(desc, stmt, nil, affected, w.TableRows)
-	return affected, nil
-}
-
-// runEditDelete is the DELETE UDTF: put one delete marker per
-// matching record (§V-A: "the DELETE UDTF only takes the name of the
-// table and puts a DELETE marker for each deleted row").
-func (h *Handler) runEditDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter, w costmodel.Workload) (int64, error) {
-	st := h.state(desc.Name)
-	st.writer.Lock()
-	defer st.writer.Unlock()
-
-	att, err := h.attached(desc)
-	if err != nil {
-		return 0, err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, err
-		}
-	}
-	snap, err := h.OpenSnapshot(desc)
-	if err != nil {
-		return 0, err
-	}
-	defer snap.Release()
-	splits := snap.Splits(ScanOptions{})
-	job := &mapred.Job{
-		Name:   "dualtable-delete-udtf",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &mapred.MeteredMapper{
-				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					batch = append(batch, &kvstore.Cell{
-						Row:       RecordID(meta.RecordID).Key(),
-						Family:    attachedFamily,
-						Qualifier: []byte(deleteQualifier),
-						Type:      kvstore.TypePut,
-						Value:     []byte{1},
-					})
-					if len(batch) >= 1024 {
-						if err := att.Put(batch, tm); err != nil {
-							return err
-						}
-						batch = batch[:0]
-					}
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				FlushFn: func(tm *sim.Meter, _ mapred.Emitter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return att.Put(batch, tm)
-				},
-			}
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
-	if err != nil {
-		return 0, err
-	}
-	if err := h.publishWatermark(desc); err != nil {
-		return 0, err
-	}
-	m.AddSeconds(res.SimSeconds)
-	affected := res.Counters.OutputRecords
-	h.observeRatio(desc, nil, stmt, affected, w.TableRows)
-	return affected, nil
+	return n, h.publishWatermark(desc)
 }
 
 // observeRatio feeds the measured modification ratio back into the

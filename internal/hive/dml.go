@@ -2,8 +2,11 @@ package hive
 
 import (
 	"fmt"
+	"slices"
 
 	"dualtable/internal/datum"
+	"dualtable/internal/kvstore"
+	"dualtable/internal/mapred"
 	"dualtable/internal/metastore"
 	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
@@ -100,9 +103,9 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 	return &ResultSet{Affected: int64(len(rows)), SimSeconds: meter.Seconds(), Plan: "INSERT"}, nil
 }
 
-// execUpdate routes UPDATE: handlers with native DML (KV, DualTable)
-// run their own plan; ORC/Text tables get the Hive-classic INSERT
-// OVERWRITE rewrite (the paper's Listing 2).
+// execUpdate routes UPDATE: handlers with native DML (KV, DualTable,
+// ACID) run their own plan; ORC/Text tables get the Hive-classic
+// INSERT OVERWRITE rewrite (the paper's Listing 2).
 func (e *Engine) execUpdate(ec *ExecContext, s *sqlparser.UpdateStmt) (*ResultSet, error) {
 	if err := rejectDMLUnderReadEpoch(ec, "UPDATE"); err != nil {
 		return nil, err
@@ -172,6 +175,174 @@ func (e *Engine) execDelete(ec *ExecContext, s *sqlparser.DeleteStmt) (*ResultSe
 	}
 	rs.Plan = "OVERWRITE-REWRITE"
 	return rs, nil
+}
+
+// SetValue is one evaluated SET clause of a native UPDATE: the target
+// column's schema index and its new value, coerced to the column's
+// kind.
+type SetValue struct {
+	Col int
+	Val datum.Datum
+}
+
+// DMLSink writes one map task's share of a native UPDATE or DELETE.
+// RunDML builds one per task, so a sink may keep state.
+type DMLSink interface {
+	// Apply handles one row the WHERE selected: row is the record as
+	// scanned, rid its record ID and vals the statement's SET values
+	// (none for DELETE), both valid only during the call. It reports
+	// whether the row counts as affected.
+	Apply(m *sim.Meter, row datum.Row, rid uint64, vals []SetValue) (bool, error)
+	// Flush runs once after the task's last batch.
+	Flush(m *sim.Meter) error
+}
+
+// RunDML is the one map-only job behind every native UPDATE/DELETE
+// plan (the KV baseline's UDFs, DualTable's EDIT UDTFs and ACID's
+// delta writes). It compiles the statement's WHERE like a scan does,
+// so a batch's rows are selected by the vector program where it
+// compiles and only selected rows are materialized; each selected
+// row's SETs are evaluated and coerced and handed to the task's sink.
+// The job emits one record per affected row, so the returned count is
+// its output record count. The job's simulated seconds go to m.
+func (e *Engine) RunDML(ec *ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement, name string,
+	splits []mapred.InputSplit, newSink func() DMLSink, m *sim.Meter) (int64, error) {
+	var table, alias string
+	var where sqlparser.Expr
+	var sets []sqlparser.SetClause
+	switch s := stmt.(type) {
+	case *sqlparser.UpdateStmt:
+		table, alias, where, sets = s.Table, s.Alias, s.Where, s.Sets
+	case *sqlparser.DeleteStmt:
+		table, alias, where = s.Table, s.Alias, s.Where
+	default:
+		return 0, fmt.Errorf("hive: native DML runs UPDATE or DELETE, not %T", stmt)
+	}
+	sc := dmlScope(table, alias, desc.Schema)
+	var whereFn evalFn
+	if where != nil {
+		var err error
+		if whereFn, err = e.compileExpr(ec, where, sc); err != nil {
+			return 0, err
+		}
+	}
+	filter := newScanFilter(where, whereFn, sc)
+	setFns := make([]evalFn, len(sets))
+	vals := make([]SetValue, len(sets))
+	for i, s := range sets {
+		vals[i].Col = desc.Schema.ColumnIndex(s.Column)
+		fn, err := e.compileExpr(ec, s.Value, sc)
+		if err != nil {
+			return 0, err
+		}
+		setFns[i] = fn
+	}
+	res, err := e.MR.RunContext(ec.Context(), &mapred.Job{
+		Name:   name,
+		Splits: splits,
+		NewMapper: func() mapred.Mapper {
+			return &dmlMapper{where: filter, sets: setFns, schema: desc.Schema, vals: slices.Clone(vals), sink: newSink()}
+		},
+	})
+	if err != nil {
+		return 0, err
+	}
+	m.AddSeconds(res.SimSeconds)
+	return res.Counters.OutputRecords, nil
+}
+
+// dmlScope resolves a DML statement's column references: unqualified,
+// or qualified by the alias (the table name when there is none).
+func dmlScope(table, alias string, schema datum.Schema) *scope {
+	if alias == "" {
+		alias = table
+	}
+	return newScope(alias, schema)
+}
+
+// affectedRow is the record RunDML emits per affected row. Map-only
+// output is collected in memory and never mutated, so one row serves
+// every emit.
+var affectedRow = datum.Row{datum.Int(1)}
+
+// dmlMapper is RunDML's map task. It is MeterAware: the sink's writes
+// are charged to the task meter, so they parallelize across map slots
+// in the simulated makespan.
+type dmlMapper struct {
+	where  scanFilter
+	sets   []evalFn
+	schema datum.Schema
+	vals   []SetValue
+	sink   DMLSink
+	meter  *sim.Meter
+	brow   batchRow
+}
+
+func (d *dmlMapper) SetMeter(m *sim.Meter) { d.meter = m }
+
+func (d *dmlMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
+	d.brow.filled = -1
+	sel, err := d.where.selectRows(b, &d.brow)
+	if err != nil {
+		return err
+	}
+	for _, i := range sel {
+		row := d.brow.row(b, int(i))
+		for k, fn := range d.sets {
+			v, err := fn(row)
+			if err != nil {
+				return err
+			}
+			if d.vals[k].Val, err = datum.Coerce(v, d.schema[d.vals[k].Col].Kind); err != nil {
+				return err
+			}
+		}
+		affected, err := d.sink.Apply(d.meter, row, b.Meta(int(i)).RecordID, d.vals)
+		if err != nil {
+			return err
+		}
+		if affected {
+			if err := emit(nil, affectedRow); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (d *dmlMapper) Flush(mapred.Emitter) error { return d.sink.Flush(d.meter) }
+
+// CellSink is the DMLSink of plans that write key-value cells (the KV
+// baseline's UDFs, DualTable's EDIT UDTFs). Cells appends one selected
+// row's cells to the task's batch; a row that appends none is not
+// affected. The batch is put whenever it reaches Limit cells (0 = no
+// limit) and at task end.
+type CellSink struct {
+	Table *kvstore.Table
+	Limit int
+	Cells func(batch []*kvstore.Cell, row datum.Row, rid uint64, vals []SetValue) []*kvstore.Cell
+	batch []*kvstore.Cell
+}
+
+func (s *CellSink) Apply(m *sim.Meter, row datum.Row, rid uint64, vals []SetValue) (bool, error) {
+	n := len(s.batch)
+	s.batch = s.Cells(s.batch, row, rid, vals)
+	if len(s.batch) == n {
+		return false, nil
+	}
+	if s.Limit > 0 && len(s.batch) >= s.Limit {
+		return true, s.Flush(m)
+	}
+	return true, nil
+}
+
+func (s *CellSink) Flush(m *sim.Meter) error {
+	if len(s.batch) == 0 {
+		return nil
+	}
+	err := s.Table.Put(s.batch, m)
+	s.batch = s.batch[:0]
+	return err
 }
 
 // RewriteUpdateToOverwrite translates

@@ -77,8 +77,9 @@ type SnapshotScanner interface {
 }
 
 // DMLHandler is a StorageHandler with native UPDATE/DELETE support
-// (the key-value handler and DualTable). Handlers without it get the
-// INSERT OVERWRITE rewrite, like plain Hive. The ExecContext carries
+// (the key-value handler, DualTable and ACID), each running its plan
+// through Engine.RunDML. Handlers without it get the INSERT OVERWRITE
+// rewrite, like plain Hive. The ExecContext carries
 // the caller's cancellation context and session settings (force plan,
 // ratio hints); the string result names the physical plan that ran
 // (e.g. "EDIT", "OVERWRITE") so experiments can verify cost-model
@@ -613,32 +614,4 @@ func (e *Engine) explain(stmt sqlparser.Statement) (*ResultSet, error) {
 		add(fmt.Sprintf("%T", stmt), "  "+stmt.String())
 	}
 	return rs, nil
-}
-
-// CompileRowExpr compiles an expression for per-row evaluation over a
-// table's rows (optionally alias-qualified). Used by storage handlers
-// implementing native DML (KV and DualTable). The execution context
-// scopes any scalar subqueries the expression contains.
-func (e *Engine) CompileRowExpr(ec *ExecContext, expr sqlparser.Expr, tableName, alias string, schema datum.Schema) (func(datum.Row) (datum.Datum, error), error) {
-	sc := dmlScope(tableName, alias, schema)
-	fn, err := e.compileExpr(ec, expr, sc)
-	if err != nil {
-		return nil, err
-	}
-	return fn, nil
-}
-
-// dmlScope resolves columns by bare name, table name or alias.
-func dmlScope(tableName, alias string, schema datum.Schema) *scope {
-	sc := newScope(alias, schema)
-	// Accept the table name as an alternative qualifier and
-	// unqualified references; resolution tries all entries, so adding
-	// duplicate-qualifier variants would create ambiguity. Instead we
-	// normalize: the scope keeps the alias (or table name), and
-	// unqualified references resolve because resolve ignores the
-	// qualifier when the reference has none.
-	if alias == "" {
-		sc = newScope(tableName, schema)
-	}
-	return sc
 }

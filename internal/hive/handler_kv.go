@@ -234,153 +234,44 @@ func (r *kvRecordReader) Close() error { return r.rs.Close() }
 // ---- Native DML (the UDF-based EDIT plans of the paper's HBase
 // baseline) ----
 
-// ExecUpdate scans matching rows and puts the changed cells in place.
+// ExecUpdate puts the changed cells of matching rows in place; a NULL
+// value deletes its cell.
 func (h *kvHandler) ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	tbl, err := h.table(desc)
-	if err != nil {
-		return 0, "", err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-	}
-	type setCol struct {
-		idx int
-		fn  func(datum.Row) (datum.Datum, error)
-	}
-	sets := make([]setCol, 0, len(stmt.Sets))
-	for _, s := range stmt.Sets {
-		idx := desc.Schema.ColumnIndex(s.Column)
-		fn, err := e.CompileRowExpr(ec, s.Value, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-		sets = append(sets, setCol{idx: idx, fn: fn})
-	}
-
-	splits, err := h.Splits(desc, ScanOptions{})
-	if err != nil {
-		return 0, "", err
-	}
-	var affected int64
-	job := &mapred.Job{
-		Name:   "kv-update",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &mapred.MeteredMapper{
-				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					key := rowKey(meta.RecordID)
-					for _, s := range sets {
-						nv, err := s.fn(row)
-						if err != nil {
-							return err
-						}
-						nv, err = datum.Coerce(nv, desc.Schema[s.idx].Kind)
-						if err != nil {
-							return err
-						}
-						cell := &kvstore.Cell{
-							Row: key, Family: kvFamily,
-							Qualifier: []byte(strconv.Itoa(s.idx)),
-							Type:      kvstore.TypePut,
-						}
-						if !nv.IsNull() {
-							cell.Value = datum.AppendDatum(nil, nv)
-						} else {
-							cell.Type = kvstore.TypeDeleteColumn
-						}
-						batch = append(batch, cell)
-					}
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				FlushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return tbl.Put(batch, tm)
-				},
+	return h.runDML(ec, e, desc, stmt, "kv-update", m, func(batch []*kvstore.Cell, _ datum.Row, rid uint64, vals []SetValue) []*kvstore.Cell {
+		key := rowKey(rid)
+		for _, v := range vals {
+			cell := &kvstore.Cell{Row: key, Family: kvFamily, Qualifier: []byte(strconv.Itoa(v.Col)), Type: kvstore.TypeDeleteColumn}
+			if !v.Val.IsNull() {
+				cell.Type, cell.Value = kvstore.TypePut, datum.AppendDatum(nil, v.Val)
 			}
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
-	if err != nil {
-		return 0, "", err
-	}
-	m.AddSeconds(res.SimSeconds)
-	affected = res.Counters.OutputRecords
-	return affected, "EDIT-UDF", nil
+			batch = append(batch, cell)
+		}
+		return batch
+	})
 }
 
-// ExecDelete scans matching rows and writes row tombstones.
+// ExecDelete writes a row tombstone per matching row.
 func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
+	return h.runDML(ec, e, desc, stmt, "kv-delete", m, func(batch []*kvstore.Cell, _ datum.Row, rid uint64, _ []SetValue) []*kvstore.Cell {
+		return append(batch, &kvstore.Cell{Row: rowKey(rid), Type: kvstore.TypeDeleteRow})
+	})
+}
+
+// runDML runs a native UPDATE/DELETE over every region; each map task
+// puts its cells once, at task end.
+func (h *kvHandler) runDML(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, name string, m *sim.Meter,
+	cells func([]*kvstore.Cell, datum.Row, uint64, []SetValue) []*kvstore.Cell) (int64, string, error) {
 	tbl, err := h.table(desc)
 	if err != nil {
 		return 0, "", err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
 	}
 	splits, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		return 0, "", err
 	}
-	job := &mapred.Job{
-		Name:   "kv-delete",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &mapred.MeteredMapper{
-				MapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					batch = append(batch, &kvstore.Cell{Row: rowKey(meta.RecordID), Type: kvstore.TypeDeleteRow})
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				FlushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return tbl.Put(batch, tm)
-				},
-			}
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
+	n, err := e.RunDML(ec, desc, stmt, name, splits, func() DMLSink { return &CellSink{Table: tbl, Cells: cells} }, m)
 	if err != nil {
 		return 0, "", err
 	}
-	m.AddSeconds(res.SimSeconds)
-	return res.Counters.OutputRecords, "EDIT-UDF", nil
+	return n, "EDIT-UDF", nil
 }

@@ -323,8 +323,9 @@ func TestLoadOverwriteReplaces(t *testing.T) {
 }
 
 func TestStorageParityAfterDML(t *testing.T) {
-	// The same DML sequence on ORC, HBASE and ACID yields the same
-	// visible data.
+	// The same DML sequence on ORC and HBASE yields the same visible
+	// data. (ACID and DUALTABLE live outside this package; the root
+	// package's TestDMLParityAcrossStorage compares all of them.)
 	var results []string
 	for _, storage := range []string{"ORC", "HBASE"} {
 		e := testEngine(t)

@@ -8,6 +8,7 @@ import (
 	"path"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dualtable/internal/dfs"
@@ -907,4 +908,83 @@ func TestConcurrentPutsSurviveCrash(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFlushKeepsCellsVisible reads a store while puts flush it at a
+// tiny threshold: a scan or get that starts after a put is
+// acknowledged must see it, also while its memtable is being written
+// out to a store file and while a compaction replaces the files the
+// read has opened.
+func TestFlushKeepsCellsVisible(t *testing.T) {
+	cfg := DefaultStoreConfig()
+	cfg.FlushThresholdBytes = 256
+	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 2})
+	st, err := openStore(fs, "/hbase/t/r0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowName := func(i int) string { return fmt.Sprintf("r%05d", i) }
+	const puts = 600
+	var acked atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < puts; i++ {
+			cell := &Cell{Row: []byte(rowName(i)), Family: "d", Qualifier: []byte("q"), Ts: uint64(i + 1), Type: TypePut, Value: []byte(rowName(i))}
+			if err := st.put([]*Cell{cell}, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			acked.Store(int64(i + 1))
+		}
+	}()
+	var wg sync.WaitGroup
+	read := func(check func(n int) error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if n := int(acked.Load()); n > 0 {
+				if err := check(n); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go read(func(n int) error {
+		it := st.scan(nil, nil, nil, 1)
+		seen := 0
+		for c, ok := it.Next(); ok; c, ok = it.Next() {
+			if string(c.Row) < rowName(n) {
+				seen++
+			}
+		}
+		if err := it.Close(); err != nil {
+			return err
+		}
+		if seen != n {
+			return fmt.Errorf("scan saw %d of %d acknowledged puts", seen, n)
+		}
+		return nil
+	})
+	rng := rand.New(rand.NewSource(1))
+	go read(func(n int) error {
+		for _, i := range []int{n - 1, rng.Intn(n)} {
+			cells, err := st.get([]byte(rowName(i)), nil)
+			if err != nil {
+				return err
+			}
+			if len(cells) != 1 {
+				return fmt.Errorf("get %s after %d acknowledged puts = %v", rowName(i), n, cells)
+			}
+		}
+		return nil
+	})
+	wg.Wait()
+	<-done
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 
@@ -19,12 +20,17 @@ type store struct {
 	dir string
 	cfg StoreConfig
 
-	mu      sync.RWMutex
-	mem     *skiplist
-	files   []*ssTable // newest first
-	nextSeq uint64
-	wal     *wal
-	closed  bool
+	mu  sync.RWMutex
+	mem *skiplist
+	// flushing holds the memtables swapped out by flushes whose store
+	// files have not joined files yet, newest first (HBase's memstore
+	// snapshot). Reads merge them, so a cell is visible throughout its
+	// flush.
+	flushing []*skiplist
+	files    []*ssTable // newest first
+	nextSeq  uint64
+	wal      *wal
+	closed   bool
 }
 
 // StoreConfig tunes a region store.
@@ -144,7 +150,9 @@ func (s *store) put(cells []*Cell, m *sim.Meter) error {
 // live log under a name of its own, holding exactly the swapped
 // memtable's puts, and starts a fresh log for later puts; the sealed
 // log is deleted once the store file is in place. Every acknowledged
-// put is therefore in a store file or in a log at all times.
+// put is therefore in a store file or in a log at all times, and in a
+// memtable reads merge until its store file replaces it (a failed
+// write leaves it there).
 func (s *store) flush(m *sim.Meter) error {
 	s.mu.Lock()
 	if s.mem.Count() == 0 {
@@ -162,6 +170,7 @@ func (s *store) flush(m *sim.Meter) error {
 	}
 	old := s.mem
 	s.mem = newSkiplist()
+	s.flushing = append([]*skiplist{old}, s.flushing...)
 	s.nextSeq++
 	s.mu.Unlock()
 
@@ -179,6 +188,7 @@ func (s *store) flush(m *sim.Meter) error {
 	// Concurrent flushes may finish out of order: keep newest first.
 	s.files = append([]*ssTable{st}, s.files...)
 	sortFilesBySeqDesc(s.files)
+	s.flushing = slices.DeleteFunc(s.flushing, func(m *skiplist) bool { return m == old })
 	n := len(s.files)
 	s.mu.Unlock()
 	if sealed != "" {
@@ -195,24 +205,20 @@ func (s *store) flush(m *sim.Meter) error {
 // get returns all visible cells of one row (latest version per
 // column, tombstones applied).
 func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
-	s.mu.RLock()
-	files := append([]*ssTable(nil), s.files...)
-	mem := s.mem
-	s.mu.RUnlock()
-
+	mems, files, pinned := s.view()
 	m.KVGet(0)
 	probe := seekProbe(row)
 	var srcs []CellIterator
-	srcs = append(srcs, &boundedIterator{it: mem.Iterator(probe), row: row})
+	for _, mem := range mems {
+		srcs = append(srcs, &boundedIterator{it: mem.Iterator(probe), row: row})
+	}
 	for _, f := range files {
 		if s.cfg.BloomEnabled && !f.bloom.MayContain(row) {
 			continue
 		}
 		srcs = append(srcs, &boundedIterator{it: f.iterator(row, m), row: row})
 	}
-	merged := newMergeIterator(srcs)
-	defer merged.Close()
-	rv := newVersionResolver(merged, s.cfg.MaxVersions)
+	rv := newVersionResolver(newMergeIterator(srcs), s.cfg.MaxVersions)
 	var out []Cell
 	for {
 		c, ok := rv.Next()
@@ -221,7 +227,40 @@ func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
 		}
 		out = append(out, c.Clone())
 	}
-	return out, rv.Err()
+	// A store file read that failed ended the merge early; it surfaces
+	// when the iterators close.
+	err := rv.Close()
+	if rerr := s.release(pinned); err == nil {
+		err = rerr
+	}
+	return out, err
+}
+
+// view snapshots the read path: the live memtable, the memtables being
+// flushed and the store files, newest first. The files are pinned on
+// the file system until release, so a compaction that replaces them
+// defers their deletion until the read is done. (A file that cannot be
+// pinned is already gone; reading it fails the read.)
+func (s *store) view() (mems []*skiplist, files []*ssTable, pinned []string) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, f := range s.files {
+		if s.fs.Pin(f.path) == nil {
+			pinned = append(pinned, f.path)
+		}
+	}
+	return append([]*skiplist{s.mem}, s.flushing...), append([]*ssTable(nil), s.files...), pinned
+}
+
+// release unpins the files a view pinned.
+func (s *store) release(pinned []string) error {
+	var first error
+	for _, p := range pinned {
+		if err := s.fs.Unpin(p); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // boundedIterator restricts an iterator to a single row.
@@ -243,11 +282,7 @@ func (b *boundedIterator) Close() error { return b.it.Close() }
 // scan returns a resolved iterator over [start, end) (nil end = to
 // the last row; nil start = from the first row).
 func (s *store) scan(start, end []byte, m *sim.Meter, maxVersions int) *scanIterator {
-	s.mu.RLock()
-	files := append([]*ssTable(nil), s.files...)
-	mem := s.mem
-	s.mu.RUnlock()
-
+	mems, files, pinned := s.view()
 	if maxVersions <= 0 {
 		maxVersions = 1
 	}
@@ -257,25 +292,31 @@ func (s *store) scan(start, end []byte, m *sim.Meter, maxVersions int) *scanIter
 		probe = seekProbe(start)
 	}
 	var srcs []CellIterator
-	srcs = append(srcs, mem.Iterator(probe))
+	for _, mem := range mems {
+		srcs = append(srcs, mem.Iterator(probe))
+	}
 	for _, f := range files {
 		srcs = append(srcs, f.iterator(start, m))
 	}
 	merged := newMergeIterator(srcs)
 	return &scanIterator{
-		rv:    newVersionResolver(merged, maxVersions),
-		end:   end,
-		meter: m,
+		rv:     newVersionResolver(merged, maxVersions),
+		end:    end,
+		meter:  m,
+		s:      s,
+		pinned: pinned,
 	}
 }
 
 // scanIterator yields visible cells within the range, charging scan
 // bytes to the meter.
 type scanIterator struct {
-	rv    *versionResolver
-	end   []byte
-	meter *sim.Meter
-	done  bool
+	rv     *versionResolver
+	end    []byte
+	meter  *sim.Meter
+	done   bool
+	s      *store
+	pinned []string // released by Close
 }
 
 // Next returns the next visible cell.
@@ -296,10 +337,15 @@ func (it *scanIterator) Next() (*Cell, bool) {
 	return c, true
 }
 
-// Close releases the underlying iterators.
+// Close releases the underlying iterators and the view's pins.
 func (it *scanIterator) Close() error {
 	it.done = true
-	return it.rv.Close()
+	err := it.rv.Close()
+	if rerr := it.s.release(it.pinned); err == nil {
+		err = rerr
+	}
+	it.pinned = nil
+	return err
 }
 
 // Err returns a deferred iteration error.
@@ -364,8 +410,10 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 	s.files = append(kept, st)
 	sortFilesBySeqDesc(s.files)
 	s.mu.Unlock()
+	// Reads that still use a merged file hold a pin on it: its
+	// deletion waits for them.
 	for _, f := range files {
-		if err := s.fs.Delete(f.path, false); err != nil {
+		if err := s.fs.DeleteDeferred(f.path); err != nil {
 			return err
 		}
 	}

@@ -14,9 +14,9 @@
 // UNION READ) deliver column vectors for untouched data and
 // materialized rows where they already paid per-row work; row-shaped
 // sources (the key-value store, in-memory slices) deliver batches of
-// rows. Row-at-a-time mappers (MapFunc and the side-effect mappers
-// built on it) walk each batch with RecordBatch.EachRow, which
-// materializes columnar rows into one reused buffer.
+// rows. Row-at-a-time mappers (MapFunc) walk each batch with
+// RecordBatch.EachRow, which materializes columnar rows into one
+// reused buffer.
 //
 // # Shuffle
 //
@@ -674,37 +674,6 @@ func (f MapFunc) MapBatch(b *RecordBatch, emit Emitter) error {
 
 // Flush is a no-op.
 func (f MapFunc) Flush(emit Emitter) error { return nil }
-
-// MeteredMapper is a row-at-a-time mapper built from closures that
-// perform side-effect I/O, such as the EDIT UDTFs' attached-table puts
-// or ACID delta writes. It is MeterAware: both closures receive the
-// task meter, so the side-effect costs parallelize across map slots in
-// the simulated makespan.
-type MeteredMapper struct {
-	MapFn   func(m *sim.Meter, row datum.Row, meta RecordMeta, emit Emitter) error
-	FlushFn func(m *sim.Meter, emit Emitter) error // optional
-	meter   *sim.Meter
-}
-
-// SetMeter receives the task meter.
-func (f *MeteredMapper) SetMeter(m *sim.Meter) { f.meter = m }
-
-// MapBatch calls MapFn on each record of the batch.
-func (f *MeteredMapper) MapBatch(b *RecordBatch, emit Emitter) error {
-	return b.EachRow(emit, f.mapRow)
-}
-
-func (f *MeteredMapper) mapRow(row datum.Row, meta RecordMeta, emit Emitter) error {
-	return f.MapFn(f.meter, row, meta, emit)
-}
-
-// Flush calls FlushFn, if set.
-func (f *MeteredMapper) Flush(emit Emitter) error {
-	if f.FlushFn == nil {
-		return nil
-	}
-	return f.FlushFn(f.meter, emit)
-}
 
 // ReduceFunc adapts a function to the Reducer interface.
 type ReduceFunc func(key []byte, rows []datum.Row, emit Emitter) error
